@@ -36,6 +36,9 @@ STATEVECTOR_MAX_N = 20
 ANCILLA_MAX_N = 20
 _DIRECT_MAX_N = 12  # shares the O(4^n) character matrix with walsh_naive
 
+#: Fewest draws ``sample_measurements`` holds at once (8 MiB of float64).
+_SAMPLE_CHUNK = 1 << 20
+
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
@@ -186,18 +189,28 @@ def sample_measurements(
 ) -> MeasurementHistogram:
     """Draw ``shots`` outcomes by inverse-CDF sampling of the distribution.
 
-    The cumulative distribution is precomputed once and each draw is a
-    binary search, O(shots * n) total; a fixed generator state reproduces
-    the histogram bit for bit.
+    A draw d lands on the first outcome k with d < cdf[k].  The draws are
+    taken in chunks of at least 2^n, sorted, and counted per outcome by
+    one binary search of each cdf entry into the chunk, so memory is
+    O(2^n) whatever the shot count.  Chained ``rng.random`` calls continue
+    one stream, so a fixed generator state reproduces the histogram bit
+    for bit, the same as drawing every shot at once and searching each.
     """
     shots = int(shots)
     if shots < 0:
         raise ValueError(f"shots must be non-negative, got {shots}")
     size = 1 << a.n
-    if shots == 0:
-        return MeasurementHistogram(a.n, np.zeros(size, dtype=np.int64), 0)
     cdf = np.cumsum(probabilities(a))
-    draws = rng.random(shots) * cdf[-1]
-    outcomes = np.searchsorted(cdf, draws, side="right")
-    counts = np.bincount(outcomes, minlength=size).astype(np.int64)
+    chunk = max(size, _SAMPLE_CHUNK)
+    counts = np.zeros(size, dtype=np.int64)
+    buffer = np.empty(min(chunk, shots))
+    for done in range(0, shots, chunk):
+        draws = buffer[: min(chunk, shots - done)]
+        rng.random(out=draws)
+        draws *= cdf[-1]
+        draws.sort()
+        below = np.searchsorted(draws, cdf, side="left")
+        counts[0] += below[0]
+        counts[1:] += np.diff(below)
+        counts[-1] += draws.size - below[-1]  # draws at or past cdf[-1]
     return MeasurementHistogram(a.n, counts, shots)

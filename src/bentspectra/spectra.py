@@ -1,24 +1,26 @@
 """Report containers and the CSV / JSON / SVG / ASCII output surfaces.
 
 A ``SpectrumReport`` bundles, for every outcome index p, the integer Walsh
-coefficient, the real output amplitude and the measurement probability,
-plus metadata (generator description, seed when one was used, and the
-spectral classification).  All exporters are deterministic: identical
+coefficient W(p), the real output amplitude W(p) / 2^n and the measurement
+probability (W(p) / 2^n)^2, plus metadata (generator description, seed when
+one was used, and the spectral classification).  The two float columns are
+derived from W, and the constructor rejects columns that disagree with it,
+so every row is a pure function of its W value.  The exporters use that:
+they format each distinct W once (a bent function has two) and index the
+formatted text by outcome.  All exporters are deterministic: identical
 inputs produce identical bytes.  Floating-point columns are printed with
 up to 17 significant digits, enough to round-trip float64 losslessly.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from typing import Sequence
 from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .boolfn import BitVector, TruthTable
+from .boolfn import TruthTable, _check_arity
 from .djsim import amplitudes_from_walsh, probabilities
 from .walsh import Classification, WalshSpectrum, classify, fwht
 
@@ -26,11 +28,16 @@ ASCII_MAX_BARS = 1 << 8
 SVG_MAX_BARS = 1 << 20
 _BAR_WIDTH = 60  # '#' characters at full scale
 
-_PROB_SUM_TOL = 1e-9
+_CSV_HEADER = "p,walsh,amplitude,probability"
 
 
 class SpectrumReport:
-    """Per-outcome rows (walsh, amplitude, probability) plus run metadata."""
+    """Per-outcome rows (walsh, amplitude, probability) plus run metadata.
+
+    ``walsh`` is a coefficient sequence or an already validated
+    ``WalshSpectrum``.  The amplitude column must equal walsh / 2^n and the
+    probability column its square, exactly.
+    """
 
     __slots__ = ("n", "walsh", "amplitudes", "probabilities", "generator", "seed",
                  "classification")
@@ -38,25 +45,27 @@ class SpectrumReport:
     def __init__(
         self,
         n: int,
-        walsh: Sequence[int] | np.ndarray,
+        walsh: Sequence[int] | np.ndarray | WalshSpectrum,
         amplitudes: Sequence[float] | np.ndarray,
         probs: Sequence[float] | np.ndarray,
         generator: str = "",
         seed: int | None = None,
         classification: Classification | None = None,
     ):
-        size = 1 << n
-        w = np.asarray(walsh, dtype=np.int32).copy()
-        a = np.asarray(amplitudes, dtype=np.float64).copy()
-        p = np.asarray(probs, dtype=np.float64).copy()
-        if not (w.shape == a.shape == p.shape == (size,)):
-            raise ValueError(f"report columns must all have {size} rows")
-        if abs(float(p.sum()) - 1.0) > _PROB_SUM_TOL:
-            raise ValueError("probability column does not sum to 1")
-        for arr in (w, a, p):
+        spec = walsh if isinstance(walsh, WalshSpectrum) else WalshSpectrum(n, walsh)
+        if spec.n != n:
+            raise ValueError(f"spectrum has n = {spec.n}, report has n = {n}")
+        w = spec.coeffs
+        a = w / float(1 << n)
+        p = a * a
+        if not np.array_equal(np.asarray(amplitudes, dtype=np.float64), a):
+            raise ValueError("amplitude column must equal walsh / 2^n")
+        if not np.array_equal(np.asarray(probs, dtype=np.float64), p):
+            raise ValueError("probability column must equal amplitude^2")
+        for arr in (a, p):
             arr.setflags(write=False)
         if classification is None:
-            classification = classify(WalshSpectrum(n, w))
+            classification = classify(spec)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "walsh", w)
         object.__setattr__(self, "amplitudes", a)
@@ -74,8 +83,6 @@ class SpectrumReport:
         return (
             self.n == other.n
             and np.array_equal(self.walsh, other.walsh)
-            and np.array_equal(self.amplitudes, other.amplitudes)
-            and np.array_equal(self.probabilities, other.probabilities)
             and self.generator == other.generator
             and self.seed == other.seed
             and self.classification == other.classification
@@ -93,7 +100,7 @@ def make_report(
     amps = amplitudes_from_walsh(spec)
     return SpectrumReport(
         tt.n,
-        spec.coeffs,
+        spec,
         amps.amps,
         probabilities(amps),
         generator=generator,
@@ -106,88 +113,113 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _distinct_rows(report: SpectrumReport) -> tuple[list, np.ndarray]:
+    """(w, amplitude, probability) per distinct W, and each outcome's index."""
+    _, first, inv = np.unique(report.walsh, return_index=True, return_inverse=True)
+    rows = zip(report.walsh[first].tolist(), report.amplitudes[first].tolist(),
+               report.probabilities[first].tolist())
+    return list(rows), inv
+
+
 def export_csv(report: SpectrumReport) -> str:
     """CSV text: header ``p,walsh,amplitude,probability`` then one row per p."""
-    lines = ["p,walsh,amplitude,probability"]
-    for p in range(1 << report.n):
-        lines.append(
-            f"{p},{int(report.walsh[p])},{_fmt(report.amplitudes[p])},"
-            f"{_fmt(report.probabilities[p])}"
-        )
-    return "\n".join(lines) + "\n"
+    distinct, inv = _distinct_rows(report)
+    tails = [f",{w},{_fmt(a)},{_fmt(q)}" for w, a, q in distinct]
+    rows = "\n".join([f"{p}{tails[i]}" for p, i in enumerate(inv.tolist())])
+    return f"{_CSV_HEADER}\n{rows}\n"
 
 
 def export_json(report: SpectrumReport) -> str:
-    """JSON text with the CSV content plus the metadata object."""
+    """JSON text with the CSV content plus the metadata object.
+
+    The bytes equal ``json.dumps(obj, indent=2)`` with a ``rows`` list of
+    ``{p, walsh, amplitude, probability}`` objects; the rows are spliced in
+    by hand (floats printed with ``repr``, as ``json`` does).
+    """
     obj: dict = {"n": report.n, "generator": report.generator}
     if report.seed is not None:
         obj["seed"] = report.seed
     obj["classification"] = report.classification.as_dict()
-    obj["rows"] = [
-        {
-            "p": p,
-            "walsh": int(report.walsh[p]),
-            "amplitude": float(report.amplitudes[p]),
-            "probability": float(report.probabilities[p]),
-        }
-        for p in range(1 << report.n)
+    head = json.dumps(obj, indent=2)[: -len("\n}")]
+    distinct, inv = _distinct_rows(report)
+    tails = [
+        f',\n      "walsh": {w},\n      "amplitude": {a!r},'
+        f'\n      "probability": {q!r}\n    }}'
+        for w, a, q in distinct
     ]
-    return json.dumps(obj, indent=2) + "\n"
+    rows = ",\n".join([f'    {{\n      "p": {p}{tails[i]}' for p, i in enumerate(inv.tolist())])
+    return f'{head},\n  "rows": [\n{rows}\n  ]\n}}\n'
 
 
-def _classification_from_dict(n: int, d: dict) -> Classification:
-    k = d.get("affine_k")
-    return Classification(
-        n=n,
-        is_constant=bool(d["is_constant"]),
-        is_balanced=bool(d["is_balanced"]),
-        is_linear=bool(d["is_linear"]),
-        is_affine=bool(d["is_affine"]),
-        is_bent=bool(d["is_bent"]),
-        affine_k=None if k is None else BitVector(n, int(k)),
-        affine_c=None if d.get("affine_c") is None else int(d["affine_c"]),
-        nonlinearity=int(d["nonlinearity"]),
+def _parse_column(fields: list[str], parse) -> list:
+    """Parse each distinct string of a column once."""
+    values = {s: parse(s) for s in set(fields)}
+    return [values[s] for s in fields]
+
+
+def _check_order(p_column: Sequence[int]) -> None:
+    if not np.array_equal(np.asarray(p_column), np.arange(len(p_column))):
+        raise ValueError("report rows must cover p = 0 .. 2^n - 1 in order")
+
+
+def _read_json(obj) -> SpectrumReport:
+    try:
+        n, rows = obj["n"], obj["rows"]
+        columns = [[r[key] for r in rows] for key in ("p", "walsh", "amplitude", "probability")]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed JSON report ({type(exc).__name__}: {exc})") from None
+    if type(n) is not int:
+        raise ValueError(f"JSON report needs an integer n, got {n!r}")
+    if len(rows) != 1 << _check_arity(n):
+        raise ValueError(f"JSON report with n = {n} needs {1 << n} rows, got {len(rows)}")
+    _check_order(columns[0])
+    for name, column, kinds in zip(("walsh", "amplitude", "probability"), columns[1:],
+                                   ("i", "if", "if")):
+        if np.asarray(column).dtype.kind not in kinds:
+            raise ValueError(f"JSON report {name} column holds non-numbers")
+    seed = obj.get("seed")
+    if seed is not None and type(seed) is not int:
+        raise ValueError(f"JSON report seed must be an integer, got {seed!r}")
+    report = SpectrumReport(n, *columns[1:], generator=str(obj.get("generator", "")),
+                            seed=seed)
+    if obj.get("classification") != report.classification.as_dict():
+        raise ValueError("JSON report classification is missing or contradicts its walsh column")
+    return report
+
+
+def _read_csv(lines: list[str]) -> SpectrumReport:
+    if lines[0] != _CSV_HEADER:
+        raise ValueError(f"unexpected report header: {lines[0]!r}")
+    rows = list(filter(None, lines[1:]))
+    count = len(rows)
+    if count < 2 or count & (count - 1):
+        raise ValueError(f"report must have a power-of-two row count, got {count}")
+    commas = np.fromiter(map(str.count, rows, [","] * count), dtype=np.int64, count=count)
+    bad = np.flatnonzero(commas != 3)
+    if bad.size:
+        row = int(bad[0])
+        raise ValueError(f"report row {row} has {commas[row] + 1} fields, expected 4")
+    flat = ",".join(rows).split(",")
+    _check_order(list(map(int, flat[0::4])))
+    return SpectrumReport(
+        count.bit_length() - 1,
+        _parse_column(flat[1::4], int),
+        _parse_column(flat[2::4], float),
+        _parse_column(flat[3::4], float),
     )
 
 
 def read_report(text: str) -> SpectrumReport:
-    """Parse a report previously exported as CSV or JSON."""
+    """Parse a report previously exported as CSV or JSON.
+
+    Malformed or self-contradicting input raises ``ValueError``.
+    """
     text = text.strip()
     if not text:
         raise ValueError("empty report")
     if text.startswith("{"):
-        obj = json.loads(text)
-        n = int(obj["n"])
-        rows = obj["rows"]
-        if len(rows) != 1 << n or any(int(r["p"]) != i for i, r in enumerate(rows)):
-            raise ValueError("report rows must cover p = 0 .. 2^n - 1 in order")
-        return SpectrumReport(
-            n,
-            [r["walsh"] for r in rows],
-            [r["amplitude"] for r in rows],
-            [r["probability"] for r in rows],
-            generator=str(obj.get("generator", "")),
-            seed=obj.get("seed"),
-            classification=_classification_from_dict(n, obj["classification"]),
-        )
-
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != ["p", "walsh", "amplitude", "probability"]:
-        raise ValueError(f"unexpected report header: {header}")
-    rows = [row for row in reader if row]
-    count = len(rows)
-    if count < 2 or count & (count - 1):
-        raise ValueError(f"report must have a power-of-two row count, got {count}")
-    n = count.bit_length() - 1
-    if any(int(row[0]) != i for i, row in enumerate(rows)):
-        raise ValueError("report rows must cover p = 0 .. 2^n - 1 in order")
-    return SpectrumReport(
-        n,
-        [int(row[1]) for row in rows],
-        [float(row[2]) for row in rows],
-        [float(row[3]) for row in rows],
-    )
+        return _read_json(json.loads(text))
+    return _read_csv(text.splitlines())
 
 
 def export_walsh_csv(spec: WalshSpectrum) -> str:
@@ -199,16 +231,15 @@ def export_walsh_csv(spec: WalshSpectrum) -> str:
 
 def export_histogram_csv(hist) -> str:
     """Histogram CSV: header ``p,count`` then one row per outcome."""
-    lines = ["p,count"]
-    lines.extend(f"{p},{int(c)}" for p, c in enumerate(hist.counts))
-    return "\n".join(lines) + "\n"
+    rows = "\n".join([f"{p},{c}" for p, c in enumerate(hist.counts.tolist())])
+    return f"p,count\n{rows}\n"
 
 
 def export_histogram_json(hist, seed: int | None = None) -> str:
     obj: dict = {"n": hist.n, "shots": hist.shots}
     if seed is not None:
         obj["seed"] = int(seed)
-    obj["counts"] = [int(c) for c in hist.counts]
+    obj["counts"] = hist.counts.tolist()
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -267,13 +298,16 @@ def _render_svg(vals: np.ndarray, title: str) -> str:
             f'<text x="{width / 2:.2f}" y="20" text-anchor="middle" '
             f'font-family="monospace" font-size="14">{escape(title)}</text>'
         )
-    for i, v in enumerate(vals):
-        h = 0.0 if peak == 0.0 else plot_h * abs(float(v)) / peak
-        x = left + i * slot + (slot - bar_w) / 2
-        out.append(
-            f'<rect x="{x:.2f}" y="{base_y - h:.2f}" width="{bar_w:.2f}" '
-            f'height="{h:.2f}" fill="steelblue"/>'
-        )
+    # every bar of the same |v| shares the text after its x attribute
+    magnitudes, inv = np.unique(np.abs(vals), return_inverse=True)
+    tails = []
+    for v in magnitudes.tolist():
+        h = 0.0 if peak == 0.0 else plot_h * v / peak
+        tails.append(f'" y="{base_y - h:.2f}" width="{bar_w:.2f}" '
+                     f'height="{h:.2f}" fill="steelblue"/>')
+    offset = (slot - bar_w) / 2
+    out.extend([f'<rect x="{left + i * slot + offset:.2f}{tails[k]}'
+                for i, k in enumerate(inv.tolist())])
     out.append(
         f'<line x1="{left:.2f}" y1="{base_y:.2f}" x2="{left + plot_w:.2f}" '
         f'y2="{base_y:.2f}" stroke="black"/>'

@@ -47,11 +47,15 @@ class WalshSpectrum:
     def __init__(self, n: int, coeffs: Sequence[int] | np.ndarray):
         n = _check_arity(n)
         size = 1 << n
-        arr = np.asarray(coeffs, dtype=np.int32).copy()
+        range_msg = f"coefficients must be in [-{size}, {size}] with its parity"
+        try:
+            arr = np.asarray(coeffs, dtype=np.int32).copy()
+        except OverflowError:
+            raise ValueError(range_msg) from None
         if arr.shape != (size,):
             raise ValueError(f"expected {size} coefficients, got {arr.shape}")
         if np.any(np.abs(arr) > size) or np.any((arr - size) & 1):
-            raise ValueError(f"coefficients must be in [-{size}, {size}] with its parity")
+            raise ValueError(range_msg)
         if int((arr.astype(np.int64) ** 2).sum()) != size * size:
             raise ValueError("coefficient squares must sum to 4^n (Parseval)")
         arr.setflags(write=False)

@@ -194,6 +194,37 @@ def test_plot_walsh_column(run):
     assert len(out.splitlines()) == 5
 
 
+def _bent_report(run, fmt):
+    return run(["dj", "--tt", "0001000100011110", "--format", fmt])[1]
+
+
+def _csv_with_row(run, row):
+    lines = _bent_report(run, "csv").splitlines()
+    lines[3] = row
+    return "\n".join(lines)
+
+
+def _json_with(run, edit):
+    obj = json.loads(_bent_report(run, "json"))
+    edit(obj)
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("make_report", [
+    lambda run: _csv_with_row(run, "2,4,0.25"),
+    lambda run: _csv_with_row(run, "2,4,0.25,0.0625,9"),
+    lambda run: _json_with(run, lambda o: o.pop("classification")),
+    lambda run: _json_with(run, lambda o: o.__setitem__("n", None)),
+    lambda run: _json_with(run, lambda o: o["rows"][1].__setitem__("amplitude", -0.25)),
+    lambda run: _json_with(run, lambda o: o["classification"].__setitem__("is_bent", False)),
+], ids=["csv-short-row", "csv-long-row", "json-no-classification", "json-null-n",
+        "json-amplitude-contradicts-walsh", "json-classification-contradicts-walsh"])
+def test_plot_malformed_report_exit_2(run, make_report):
+    code, out, err = run(["plot", "--tt", make_report(run)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_inline_and_random(run):
     code, out, _ = run(["verify", "--tt", "0001000100011110"])
     assert code == 0 and "OK" in out

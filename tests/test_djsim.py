@@ -1,5 +1,7 @@
 """Output-amplitude routes, normalization, flatness, and sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from bentspectra import (
     simulate_circuit,
     simulate_with_ancilla,
 )
-from bentspectra.djsim import ANCILLA_MAX_N, STATEVECTOR_MAX_N, _DIRECT_MAX_N
+from bentspectra.djsim import ANCILLA_MAX_N, STATEVECTOR_MAX_N, _DIRECT_MAX_N, _SAMPLE_CHUNK
 
 ROUTE_TOL = 1e-12
 
@@ -203,6 +205,39 @@ def test_sampling_deterministic_per_seed():
     c = sample_measurements(amps, 5000, np.random.default_rng(8)).counts
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def reference_sample_counts(amps, shots, seed):
+    """Every draw at once, one binary search per draw."""
+    cdf = np.cumsum(probabilities(amps))
+    draws = np.random.default_rng(seed).random(shots) * cdf[-1]
+    return np.bincount(np.searchsorted(cdf, draws, side="right"), minlength=1 << amps.n)
+
+
+@pytest.mark.parametrize("tt", [
+    random_function(5, np.random.default_rng(4)),
+    make_inner_product_bent(6),
+    make_affine(3, 5, 1),
+], ids=["random", "bent", "affine"])
+def test_chunked_sampler_matches_unchunked_draws(tt):
+    amps = amplitudes_from_walsh(fwht(tt))
+    for shots in (0, 1, 999, _SAMPLE_CHUNK - 1, _SAMPLE_CHUNK, 2 * _SAMPLE_CHUNK + 3):
+        for seed in (0, 1, 2**40 + 7):
+            counts = sample_measurements(amps, shots, np.random.default_rng(seed)).counts
+            assert np.array_equal(counts, reference_sample_counts(amps, shots, seed)), \
+                (shots, seed)
+
+
+def test_sampler_memory_does_not_grow_with_shots():
+    amps = amplitudes_from_walsh(fwht(make_inner_product_bent(4)))
+    shots = 6 * _SAMPLE_CHUNK
+    tracemalloc.start()
+    try:
+        sample_measurements(amps, shots, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * _SAMPLE_CHUNK  # one chunk of float64 draws, plus slack
 
 
 def test_sampling_validation():

@@ -2,20 +2,27 @@
 
 import json
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bentspectra import (
     SpectrumReport,
+    TruthTable,
+    amplitudes_from_walsh,
     export_csv,
     export_json,
+    fwht,
     make_affine,
     make_constant,
     make_inner_product_bent,
     make_report,
     read_report,
     render_bars,
+    sample_measurements,
 )
 from bentspectra.spectra import (
     ASCII_MAX_BARS,
@@ -92,6 +99,17 @@ def test_report_validation():
         SpectrumReport(2, [4, 0, 0, 0], [1, 0, 0, 0], [0.5, 0, 0, 0])
     with pytest.raises(ValueError):
         SpectrumReport(2, [4, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0])
+    # columns that contradict the walsh column, each by one sign or one ulp
+    with pytest.raises(ValueError, match="amplitude"):
+        SpectrumReport(2, [2, 2, 2, -2], [0.5, 0.5, 0.5, 0.5], [0.25] * 4)
+    with pytest.raises(ValueError, match="probability"):
+        SpectrumReport(2, [2, 2, 2, -2], [0.5, 0.5, 0.5, -0.5],
+                       [0.25, 0.25, 0.25, np.nextafter(0.25, 1)])
+    # a walsh column that is no spectrum, even though the other columns agree
+    with pytest.raises(ValueError, match="Parseval"):
+        SpectrumReport(2, [4, 0, 0, 2], [1, 0, 0, 0.5], [1, 0, 0, 0.25])
+    assert SpectrumReport(2, [2, 2, 2, -2], [0.5, 0.5, 0.5, -0.5], [0.25] * 4) \
+        == make_report(TruthTable(2, [0, 0, 0, 1]))
     with pytest.raises(ValueError):
         read_report("")
     with pytest.raises(ValueError):
@@ -99,8 +117,6 @@ def test_report_validation():
 
 
 def test_walsh_and_histogram_exports():
-    from bentspectra import fwht, sample_measurements, amplitudes_from_walsh
-
     spec = fwht(make_constant(2, 0))
     assert export_walsh_csv(spec) == "p,walsh\n0,4\n1,0\n2,0\n3,0\n"
 
@@ -182,3 +198,244 @@ def test_render_deterministic():
     values = np.linspace(0, 1, 32)
     assert render_bars(values, "t", format="svg") == render_bars(values, "t", format="svg")
     assert render_bars(values, "t", format="ascii") == render_bars(values, "t", format="ascii")
+
+
+# ---------------------------------------------------------------------------
+# Self-contradicting and malformed reports
+# ---------------------------------------------------------------------------
+
+
+def _bent_json():
+    return json.loads(export_json(make_report(make_inner_product_bent(4), generator="ip")))
+
+
+def test_json_amplitude_contradicting_walsh_rejected():
+    obj = _bent_json()
+    obj["rows"][3]["amplitude"] = -obj["rows"][3]["amplitude"]
+    with pytest.raises(ValueError, match="amplitude"):
+        read_report(json.dumps(obj))
+
+
+def test_json_classification_contradicting_walsh_rejected():
+    obj = _bent_json()
+    obj["classification"]["is_bent"] = False
+    with pytest.raises(ValueError, match="classification"):
+        read_report(json.dumps(obj))
+    obj["classification"]["is_bent"] = True
+    obj["classification"]["nonlinearity"] += 1
+    with pytest.raises(ValueError, match="classification"):
+        read_report(json.dumps(obj))
+
+
+def test_json_missing_classification_rejected():
+    obj = _bent_json()
+    del obj["classification"]
+    with pytest.raises(ValueError, match="classification"):
+        read_report(json.dumps(obj))
+
+
+@pytest.mark.parametrize("n", [None, "4", 4.0, True, -1, 0, 10**9])
+def test_json_bad_n_rejected(n):
+    obj = _bent_json()
+    obj["n"] = n
+    with pytest.raises(ValueError):
+        read_report(json.dumps(obj))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda o: o.pop("rows"),
+    lambda o: o["rows"].pop(),
+    lambda o: o["rows"][5].pop("walsh"),
+    lambda o: o["rows"].__setitem__(2, 7),
+    lambda o: o["rows"][2].__setitem__("p", 3),
+    lambda o: o["rows"][2].__setitem__("walsh", "4"),
+    lambda o: o["rows"][2].__setitem__("walsh", 4.0),
+    lambda o: o["rows"][2].__setitem__("amplitude", "0.25"),
+    lambda o: o.__setitem__("seed", "7"),
+])
+def test_json_malformed_rows_rejected(edit):
+    obj = _bent_json()
+    edit(obj)
+    with pytest.raises(ValueError):
+        read_report(json.dumps(obj))
+
+
+def _bent_csv_lines():
+    return export_csv(make_report(make_inner_product_bent(4))).splitlines()
+
+
+@pytest.mark.parametrize("replacement", [
+    "2,-4,-0.25",             # short row
+    "2,-4,-0.25,0.0625,1",    # long row
+    "2",                      # one field
+])
+def test_csv_wrong_field_count_rejected(replacement):
+    lines = _bent_csv_lines()
+    lines[3] = replacement
+    with pytest.raises(ValueError, match="fields"):
+        read_report("\n".join(lines))
+
+
+def test_csv_short_then_long_row_does_not_realign():
+    # four fields per row on average, so only a per-row count catches it
+    lines = _bent_csv_lines()
+    lines[3] = "2,4,0.25"
+    lines[4] = "0.0625,3,4,0.25,0.0625"
+    with pytest.raises(ValueError, match="row 2 has 3 fields"):
+        read_report("\n".join(lines))
+
+
+def test_csv_contradicting_columns_rejected():
+    lines = _bent_csv_lines()
+    lines[5] = "4,4,0.25,0.0625000001"
+    with pytest.raises(ValueError, match="probability"):
+        read_report("\n".join(lines))
+    lines = _bent_csv_lines()
+    for big in ("99999999999", str(2**32 + 4)):  # the second wraps to 4 in int32
+        lines[5] = f"4,{big},0.25,0.0625"
+        with pytest.raises(ValueError, match="coefficients"):
+            read_report("\n".join(lines))
+    lines = _bent_csv_lines()
+    lines[5] = "5,4,0.25,0.0625"
+    with pytest.raises(ValueError, match="in order"):
+        read_report("\n".join(lines))
+
+
+def test_csv_reader_tolerates_crlf_and_blank_lines():
+    report = make_report(make_inner_product_bent(4))
+    lines = export_csv(report).splitlines()
+    lines.insert(4, "")
+    assert read_report("\r\n".join(lines)) == report
+
+
+# ---------------------------------------------------------------------------
+# Byte identity with the per-row writers the exporters replaced
+# ---------------------------------------------------------------------------
+
+
+def _fmt17(x):
+    return format(float(x), ".17g")
+
+
+def reference_export_csv(report):
+    lines = ["p,walsh,amplitude,probability"]
+    for p in range(1 << report.n):
+        lines.append(
+            f"{p},{int(report.walsh[p])},{_fmt17(report.amplitudes[p])},"
+            f"{_fmt17(report.probabilities[p])}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def reference_export_json(report):
+    obj = {"n": report.n, "generator": report.generator}
+    if report.seed is not None:
+        obj["seed"] = report.seed
+    obj["classification"] = report.classification.as_dict()
+    obj["rows"] = [
+        {
+            "p": p,
+            "walsh": int(report.walsh[p]),
+            "amplitude": float(report.amplitudes[p]),
+            "probability": float(report.probabilities[p]),
+        }
+        for p in range(1 << report.n)
+    ]
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def reference_render_svg(values, title):
+    vals = np.asarray(values, dtype=np.float64)
+    width, height = 800.0, 360.0
+    left, right, top, bottom = 40.0, 10.0, 30.0, 20.0
+    plot_w = width - left - right
+    plot_h = height - top - bottom
+    base_y = top + plot_h
+    peak = float(np.abs(vals).max())
+    slot = plot_w / vals.size
+    bar_w = slot * 0.9
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
+        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">'
+    ]
+    if title:
+        out.append(
+            f'<text x="{width / 2:.2f}" y="20" text-anchor="middle" '
+            f'font-family="monospace" font-size="14">{escape(title)}</text>'
+        )
+    for i, v in enumerate(vals):
+        h = 0.0 if peak == 0.0 else plot_h * abs(float(v)) / peak
+        x = left + i * slot + (slot - bar_w) / 2
+        out.append(
+            f'<rect x="{x:.2f}" y="{base_y - h:.2f}" width="{bar_w:.2f}" '
+            f'height="{h:.2f}" fill="steelblue"/>'
+        )
+    out.append(
+        f'<line x1="{left:.2f}" y1="{base_y:.2f}" x2="{left + plot_w:.2f}" '
+        f'y2="{base_y:.2f}" stroke="black"/>'
+    )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+def reference_export_histogram_csv(hist):
+    lines = ["p,count"]
+    lines.extend(f"{p},{int(c)}" for p, c in enumerate(hist.counts))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def tables(draw):
+    kind = draw(st.sampled_from(["random", "random", "ip-bent", "affine", "constant"]))
+    n = draw(st.integers(1, 10))
+    if kind == "random":
+        return TruthTable.from_int(n, draw(st.integers(0, (1 << (1 << n)) - 1)))
+    if kind == "ip-bent":
+        return make_inner_product_bent(2 * draw(st.integers(1, 5)))
+    if kind == "affine":
+        return make_affine(n, draw(st.integers(0, (1 << n) - 1)), draw(st.integers(0, 1)))
+    return make_constant(n, draw(st.integers(0, 1)))
+
+
+def _assert_writers_match_reference(report):
+    assert export_csv(report) == reference_export_csv(report)
+    assert export_json(report) == reference_export_json(report)
+    for column in (report.walsh, report.amplitudes, report.probabilities):
+        assert render_bars(column, report.generator, format="svg") \
+            == reference_render_svg(column, report.generator)
+    bare = SpectrumReport(report.n, report.walsh, report.amplitudes, report.probabilities)
+    assert read_report(export_csv(report)) == bare
+    assert read_report(export_json(report)) == report
+
+
+@settings(max_examples=120, deadline=None)
+@given(tables(), st.one_of(st.none(), st.integers(0, 2**63 - 1)), st.text(max_size=12))
+def test_writers_match_per_row_reference(tt, seed, generator):
+    _assert_writers_match_reference(make_report(tt, generator=generator, seed=seed))
+
+
+@pytest.mark.parametrize("tt", [
+    make_inner_product_bent(10),
+    make_affine(9, 0x155, 1),
+    make_constant(7, 1),
+    TruthTable(1, [0, 1]),
+])
+def test_writers_match_per_row_reference_fixed(tt):
+    _assert_writers_match_reference(make_report(tt))
+    _assert_writers_match_reference(make_report(tt, generator='g "q" <&>', seed=0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300), st.text(max_size=8))
+def test_svg_matches_per_row_reference_on_any_values(values, title):
+    assert render_bars(values, title, format="svg") == reference_render_svg(values, title)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables(), st.integers(0, 5000), st.integers(0, 2**32))
+def test_histogram_writers_match_per_row_reference(tt, shots, seed):
+    hist = sample_measurements(amplitudes_from_walsh(fwht(tt)), shots,
+                               np.random.default_rng(seed))
+    assert export_histogram_csv(hist) == reference_export_histogram_csv(hist)
+    assert json.loads(export_histogram_json(hist))["counts"] == [int(c) for c in hist.counts]

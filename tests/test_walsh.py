@@ -101,6 +101,8 @@ def test_spectrum_validation():
     with pytest.raises(ValueError):
         WalshSpectrum(2, [8, 0, 0, 0])  # out of range
     with pytest.raises(ValueError):
+        WalshSpectrum(2, [2**40, 0, 0, 0])  # out of int32 range
+    with pytest.raises(ValueError):
         WalshSpectrum(2, [3, 1, 1, 1])  # odd coefficients
     with pytest.raises(ValueError):
         WalshSpectrum(2, [2, 0, 0, 0])  # Parseval violation
