@@ -87,7 +87,70 @@ def dot(k: BitVector, x: BitVector) -> int:
     return (k.value & x.value).bit_count() & 1
 
 
-class TruthTable:
+class _Frozen:
+    """Base of the immutable value types.
+
+    ``__init__`` stores each attribute once through ``_set``; afterwards no
+    attribute can be rebound or deleted.
+    """
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class _FrozenTable(_Frozen):
+    """Immutable value compared and hashed by n and the array named ``_ARRAY``."""
+
+    __slots__ = ()
+    _ARRAY: str
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, type(self)):
+            return self.n == other.n and np.array_equal(
+                getattr(self, self._ARRAY), getattr(other, self._ARRAY)
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, getattr(self, self._ARRAY).tobytes()))
+
+
+def _frozen_array(values, n: int, dtype: type, what: str) -> np.ndarray:
+    """Read-only (2^n,) copy of ``values`` as ``dtype``.
+
+    The cast must keep every value: entries that would wrap, truncate or
+    lose their imaginary part, NaN and infinities raise ``ValueError``.
+    """
+    src = np.asarray(values)
+    if src.shape != (1 << n,):
+        raise ValueError(f"expected {1 << n} {what}, got {src.shape}")
+    if np.can_cast(src.dtype, dtype):
+        arr = src.astype(dtype)
+    else:
+        if src.dtype.kind not in "iuf":
+            raise ValueError(f"{what} must be real numbers, got dtype {src.dtype}")
+        if src.dtype.kind == "f" and np.dtype(dtype).kind in "iu":
+            # a float-to-int cast past the range is undefined; NaN fails too
+            info = np.iinfo(dtype)
+            if not (src.min() >= info.min and src.max() < info.max + 1):
+                raise ValueError(f"{what} must be finite and fit {np.dtype(dtype)}")
+        arr = src.astype(dtype)
+        if not np.array_equal(arr, src):
+            raise ValueError(f"{what} change value when cast to {np.dtype(dtype)}")
+    arr.setflags(write=False)
+    return arr
+
+
+class TruthTable(_FrozenTable):
     """Truth table of a Boolean function on n bits.
 
     The table is immutable; ``bits`` is a read-only uint8 array of length
@@ -95,20 +158,14 @@ class TruthTable:
     """
 
     __slots__ = ("n", "bits")
+    _ARRAY = "bits"
 
     def __init__(self, n: int, bits: Sequence[int] | np.ndarray):
         n = _check_arity(n)
-        arr = np.asarray(bits, dtype=np.uint8).copy()
-        if arr.shape != (1 << n,):
-            raise ValueError(f"expected {1 << n} table entries, got {arr.shape}")
+        arr = _frozen_array(bits, n, np.uint8, "table entries")
         if arr.max(initial=0) > 1:
             raise ValueError("table entries must be 0 or 1")
-        arr.setflags(write=False)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bits", arr)
-
-    def __setattr__(self, key, value):
-        raise AttributeError("TruthTable is immutable")
+        self._set(n=n, bits=arr)
 
     # -- constructors -------------------------------------------------------
 
@@ -220,16 +277,6 @@ class TruthTable:
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "tt": self.text()})
 
-    # -- protocol ------------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TruthTable):
-            return self.n == other.n and np.array_equal(self.bits, other.bits)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.bits.tobytes()))
-
     def __repr__(self) -> str:
         tt = self.text()
         if len(tt) > 32:
@@ -246,7 +293,7 @@ def _bits_from_hex(text: str, size: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="big")[:size]
 
 
-class AnfPolynomial:
+class AnfPolynomial(_FrozenTable):
     """Algebraic normal form: XOR of AND-monomials.
 
     ``coefficients[m]`` is the coefficient of the monomial prod_{j: m_j=1} x_j,
@@ -255,37 +302,20 @@ class AnfPolynomial:
     """
 
     __slots__ = ("n", "coefficients", "degree")
+    _ARRAY = "coefficients"
 
     def __init__(self, n: int, coefficients: Sequence[int] | np.ndarray):
         n = _check_arity(n)
-        arr = np.asarray(coefficients, dtype=np.uint8).copy()
-        if arr.shape != (1 << n,):
-            raise ValueError(f"expected {1 << n} coefficients, got {arr.shape}")
+        arr = _frozen_array(coefficients, n, np.uint8, "coefficients")
         if arr.max(initial=0) > 1:
             raise ValueError("coefficients must be 0 or 1")
-        arr.setflags(write=False)
         masks = np.flatnonzero(arr)
         degree = int(np.bitwise_count(masks).max()) if masks.size else 0
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coefficients", arr)
-        object.__setattr__(self, "degree", degree)
-
-    def __setattr__(self, key, value):
-        raise AttributeError("AnfPolynomial is immutable")
+        self._set(n=n, coefficients=arr, degree=degree)
 
     def monomials(self) -> tuple[int, ...]:
         """Masks of the monomials with coefficient 1, ascending."""
         return tuple(int(m) for m in np.flatnonzero(self.coefficients))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, AnfPolynomial):
-            return self.n == other.n and np.array_equal(
-                self.coefficients, other.coefficients
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.coefficients.tobytes()))
 
     def __repr__(self) -> str:
         return f"AnfPolynomial(n={self.n}, degree={self.degree}, monomials={self.monomials()!r})"
@@ -410,14 +440,13 @@ def shuffle_search_bent(
     max_iters = int(max_iters)
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-    from .walsh import fwht  # deferred: walsh imports this module
+    from .walsh import is_bent  # deferred: walsh imports this module
 
     size = 1 << n
     seed = np.zeros(size, dtype=np.uint8)
     seed[: (1 << (n - 1)) - (1 << (n // 2 - 1))] = 1
-    target = 1 << (n // 2)
     for iteration in range(1, max_iters + 1):
         candidate = TruthTable(n, seed[rng.permutation(size)])
-        if bool(np.all(np.abs(fwht(candidate).coeffs) == target)):
+        if is_bent(candidate):
             return ShuffleSearchResult(candidate, iteration)
     return ShuffleSearchResult(None, max_iters)

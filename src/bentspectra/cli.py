@@ -16,9 +16,9 @@ Tables are read from --tt, --in or stdin in the standard text format, so
 commands compose through pipes: ``bentspectra gen --kind ip-bent --n 4 |
 bentspectra dj | bentspectra plot``.
 
-Exit codes: 0 success, 1 usage error, 2 validation error, 3 internal
-invariant violation.  The env var BENTSPECTRA_MAX_N lowers the arity cap
-(values above 24 are clamped).
+Exit codes: 0 success, 1 usage error, 2 validation or file error, 3
+internal invariant violation.  The env var BENTSPECTRA_MAX_N lowers the
+arity cap of every command (values above 24 are clamped).
 """
 
 from __future__ import annotations
@@ -73,17 +73,20 @@ def _check_arity(n: int, cap: int) -> int:
     return n
 
 
-def _read_table(args, cap: int) -> tuple[TruthTable, str]:
-    """Resolve the single input source: --tt, --in, or stdin."""
-    if getattr(args, "tt", None) is not None and getattr(args, "infile", None):
+def _read_input(args) -> tuple[str, str]:
+    """Text and name of the single input source: --tt, --in, or stdin."""
+    if args.tt is not None and args.infile:
         raise ValueError("give at most one of --tt and --in")
-    if getattr(args, "tt", None) is not None:
-        text, source = args.tt, "inline"
-    elif getattr(args, "infile", None):
-        text, source = Path(args.infile).read_text(), args.infile
-    else:
-        text, source = sys.stdin.read(), "stdin"
-    tt = TruthTable.from_string(text, n=getattr(args, "n", None))
+    if args.tt is not None:
+        return args.tt, "inline"
+    if args.infile:
+        return Path(args.infile).read_text(), args.infile
+    return sys.stdin.read(), "stdin"
+
+
+def _read_table(args, cap: int) -> tuple[TruthTable, str]:
+    text, source = _read_input(args)
+    tt = TruthTable.from_string(text, n=args.n)
     _check_arity(tt.n, cap)
     return tt, source
 
@@ -235,16 +238,9 @@ def _cmd_sample(args, cap: int) -> int:
     return 0
 
 
-def _cmd_plot(args) -> int:
-    if args.tt is not None and args.infile:
-        raise ValueError("give at most one of --tt and --in")
-    if args.tt is not None:
-        text = args.tt
-    elif args.infile:
-        text = Path(args.infile).read_text()
-    else:
-        text = sys.stdin.read()
-    report = spectra.read_report(text)
+def _cmd_plot(args, cap: int) -> int:
+    report = spectra.read_report(_read_input(args)[0])
+    _check_arity(report.n, cap)
     values = {
         "walsh": report.walsh,
         "amplitude": report.amplitudes,
@@ -324,10 +320,13 @@ def _scenario_tables() -> list[tuple[str, str, TruthTable, int | None]]:
     return scenarios
 
 
-def _cmd_paper(args) -> int:
+def _cmd_paper(args, cap: int) -> int:
+    scenarios = _scenario_tables()
+    for _, _, tt, _ in scenarios:
+        _check_arity(tt.n, cap)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    for stem, description, tt, seed in _scenario_tables():
+    for stem, description, tt, seed in scenarios:
         report = spectra.make_report(tt, generator=description, seed=seed)
         csv_path = outdir / f"{stem}.csv"
         svg_path = outdir / f"{stem}.svg"
@@ -347,7 +346,9 @@ _COMMANDS = {
     "classify": _cmd_classify,
     "dj": _cmd_dj,
     "sample": _cmd_sample,
+    "plot": _cmd_plot,
     "verify": _cmd_verify,
+    "paper": _cmd_paper,
 }
 
 
@@ -358,12 +359,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        if args.command == "plot":
-            return _cmd_plot(args)
-        if args.command == "paper":
-            return _cmd_paper(args)
         return _COMMANDS[args.command](args, _arity_cap())
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,14 +27,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfn import TruthTable, _check_arity
-from .walsh import WalshSpectrum, _character_matrix
+from .boolfn import TruthTable, _check_arity, _Frozen, _frozen_array
+from .walsh import NAIVE_MAX_N, WalshSpectrum, _character_matrix
 
 #: Statevector caps: one float64 buffer of 2^n (plus 2^{n+1} for the
 #: ancilla route) entries.
 STATEVECTOR_MAX_N = 20
 ANCILLA_MAX_N = 20
-_DIRECT_MAX_N = 12  # shares the O(4^n) character matrix with walsh_naive
 
 #: Fewest draws ``sample_measurements`` holds at once (8 MiB of float64).
 _SAMPLE_CHUNK = 1 << 20
@@ -45,7 +44,7 @@ _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _NORM_TOL = 1e-12
 
 
-class Amplitudes:
+class Amplitudes(_Frozen):
     """Real output amplitudes of the n-qubit circuit, entry p = psi(p).
 
     Construction enforces normalization: the squares sum to 1 within 1e-12.
@@ -55,17 +54,10 @@ class Amplitudes:
 
     def __init__(self, n: int, amps: Sequence[float] | np.ndarray):
         n = _check_arity(n)
-        arr = np.asarray(amps, dtype=np.float64).copy()
-        if arr.shape != (1 << n,):
-            raise ValueError(f"expected {1 << n} amplitudes, got {arr.shape}")
-        if abs(float(arr @ arr) - 1.0) > _NORM_TOL:
+        arr = _frozen_array(amps, n, np.float64, "amplitudes")
+        if not abs(float(arr @ arr) - 1.0) <= _NORM_TOL:  # NaN fails too
             raise ValueError("amplitudes are not normalized")
-        arr.setflags(write=False)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "amps", arr)
-
-    def __setattr__(self, key, value):
-        raise AttributeError("Amplitudes is immutable")
+        self._set(n=n, amps=arr)
 
     def norm_squared(self) -> float:
         return float(np.dot(self.amps, self.amps))
@@ -74,27 +66,19 @@ class Amplitudes:
         return f"Amplitudes(n={self.n}, norm2={self.norm_squared():.12f})"
 
 
-class MeasurementHistogram:
+class MeasurementHistogram(_Frozen):
     """Counts per outcome from repeated simulated measurements."""
 
     __slots__ = ("n", "counts", "shots")
 
     def __init__(self, n: int, counts: Sequence[int] | np.ndarray, shots: int):
         n = _check_arity(n)
-        arr = np.asarray(counts, dtype=np.int64).copy()
-        if arr.shape != (1 << n,):
-            raise ValueError(f"expected {1 << n} counters, got {arr.shape}")
+        arr = _frozen_array(counts, n, np.int64, "counters")
         if arr.min(initial=0) < 0:
             raise ValueError("counts must be non-negative")
-        if int(arr.sum()) != int(shots):
+        if int(arr.sum()) != shots:
             raise ValueError("counts must sum to the number of shots")
-        arr.setflags(write=False)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "counts", arr)
-        object.__setattr__(self, "shots", int(shots))
-
-    def __setattr__(self, key, value):
-        raise AttributeError("MeasurementHistogram is immutable")
+        self._set(n=n, counts=arr, shots=int(shots))
 
     def __repr__(self) -> str:
         return f"MeasurementHistogram(n={self.n}, shots={self.shots})"
@@ -107,8 +91,8 @@ def amplitudes_direct(tt: TruthTable) -> Amplitudes:
     pipeline; all partial sums are integers below 2^53, so the result is
     exact despite the floating point.
     """
-    if tt.n > _DIRECT_MAX_N:
-        raise ValueError(f"amplitudes_direct supports n <= {_DIRECT_MAX_N}, got {tt.n}")
+    if tt.n > NAIVE_MAX_N:
+        raise ValueError(f"amplitudes_direct supports n <= {NAIVE_MAX_N}, got {tt.n}")
     size = 1 << tt.n
     chi = _character_matrix(tt.n)
     signs = (1 - 2 * tt.bits.astype(np.float64)) / size

@@ -20,7 +20,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .boolfn import TruthTable, _check_arity
+from .boolfn import TruthTable, _check_arity, _Frozen
 from .djsim import amplitudes_from_walsh, probabilities
 from .walsh import Classification, WalshSpectrum, classify, fwht
 
@@ -31,7 +31,7 @@ _BAR_WIDTH = 60  # '#' characters at full scale
 _CSV_HEADER = "p,walsh,amplitude,probability"
 
 
-class SpectrumReport:
+class SpectrumReport(_Frozen):
     """Per-outcome rows (walsh, amplitude, probability) plus run metadata.
 
     ``walsh`` is a coefficient sequence or an already validated
@@ -58,24 +58,16 @@ class SpectrumReport:
         w = spec.coeffs
         a = w / float(1 << n)
         p = a * a
-        if not np.array_equal(np.asarray(amplitudes, dtype=np.float64), a):
+        if not np.array_equal(amplitudes, a):
             raise ValueError("amplitude column must equal walsh / 2^n")
-        if not np.array_equal(np.asarray(probs, dtype=np.float64), p):
+        if not np.array_equal(probs, p):
             raise ValueError("probability column must equal amplitude^2")
         for arr in (a, p):
             arr.setflags(write=False)
         if classification is None:
             classification = classify(spec)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "walsh", w)
-        object.__setattr__(self, "amplitudes", a)
-        object.__setattr__(self, "probabilities", p)
-        object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "seed", None if seed is None else int(seed))
-        object.__setattr__(self, "classification", classification)
-
-    def __setattr__(self, key, value):
-        raise AttributeError("SpectrumReport is immutable")
+        self._set(n=n, walsh=w, amplitudes=a, probabilities=p, generator=generator,
+                  seed=None if seed is None else int(seed), classification=classification)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpectrumReport):

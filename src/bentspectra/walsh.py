@@ -27,14 +27,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfn import BitVector, TruthTable, _check_arity
+from .boolfn import BitVector, TruthTable, _check_arity, _frozen_array, _FrozenTable
 
 #: walsh_naive materializes the 2^n x 2^n character matrix; past this the
 #: quadratic cost is no longer a usable oracle.
 NAIVE_MAX_N = 12
 
 
-class WalshSpectrum:
+class WalshSpectrum(_FrozenTable):
     """Signed-integer Walsh coefficients of an n-bit function.
 
     Construction enforces what every genuine spectrum satisfies: each
@@ -43,35 +43,17 @@ class WalshSpectrum:
     """
 
     __slots__ = ("n", "coeffs")
+    _ARRAY = "coeffs"
 
     def __init__(self, n: int, coeffs: Sequence[int] | np.ndarray):
         n = _check_arity(n)
         size = 1 << n
-        range_msg = f"coefficients must be in [-{size}, {size}] with its parity"
-        try:
-            arr = np.asarray(coeffs, dtype=np.int32).copy()
-        except OverflowError:
-            raise ValueError(range_msg) from None
-        if arr.shape != (size,):
-            raise ValueError(f"expected {size} coefficients, got {arr.shape}")
+        arr = _frozen_array(coeffs, n, np.int32, "coefficients")
         if np.any(np.abs(arr) > size) or np.any((arr - size) & 1):
-            raise ValueError(range_msg)
+            raise ValueError(f"coefficients must be in [-{size}, {size}] with its parity")
         if int((arr.astype(np.int64) ** 2).sum()) != size * size:
             raise ValueError("coefficient squares must sum to 4^n (Parseval)")
-        arr.setflags(write=False)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", arr)
-
-    def __setattr__(self, key, value):
-        raise AttributeError("WalshSpectrum is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, WalshSpectrum):
-            return self.n == other.n and np.array_equal(self.coeffs, other.coeffs)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.coeffs.tobytes()))
+        self._set(n=n, coeffs=arr)
 
     def __repr__(self) -> str:
         head = ", ".join(str(int(c)) for c in self.coeffs[:8])
@@ -166,6 +148,11 @@ def fwht(tt: TruthTable) -> WalshSpectrum:
     return WalshSpectrum(tt.n, buf)
 
 
+def _is_flat(spec: WalshSpectrum) -> bool:
+    """True iff every |W(p)| equals 2^{n/2}: for even n, the bent spectra."""
+    return bool(np.all(np.abs(spec.coeffs) == 1 << (spec.n // 2)))
+
+
 def classify(spec: WalshSpectrum) -> Classification:
     """Read constant/balanced/linear/affine/bent flags off the spectrum."""
     n = spec.n
@@ -182,15 +169,13 @@ def classify(spec: WalshSpectrum) -> Classification:
         affine_k = BitVector(n, k)
         affine_c = 1 if int(coeffs[k]) < 0 else 0
 
-    is_bent = n % 2 == 0 and bool(np.all(magnitudes == (1 << (n // 2))))
-
     return Classification(
         n=n,
         is_constant=int(magnitudes[0]) == size,
         is_balanced=int(coeffs[0]) == 0,
         is_linear=is_affine and affine_c == 0,
         is_affine=is_affine,
-        is_bent=is_bent,
+        is_bent=n % 2 == 0 and _is_flat(spec),
         affine_k=affine_k,
         affine_c=affine_c,
         nonlinearity=(size >> 1) - max_abs // 2,
@@ -199,9 +184,7 @@ def classify(spec: WalshSpectrum) -> Classification:
 
 def is_bent(tt: TruthTable) -> bool:
     """True iff the Walsh spectrum of ``tt`` is flat (all |W(p)| = 2^{n/2})."""
-    if tt.n % 2:
-        return False
-    return bool(np.all(np.abs(fwht(tt).coeffs) == (1 << (tt.n // 2))))
+    return tt.n % 2 == 0 and _is_flat(fwht(tt))
 
 
 def dual_bent(spec: WalshSpectrum) -> TruthTable:
@@ -212,7 +195,6 @@ def dual_bent(spec: WalshSpectrum) -> TruthTable:
     """
     if spec.n % 2:
         raise ValueError(f"dual is defined for bent functions only; n = {spec.n} is odd")
-    target = 1 << (spec.n // 2)
-    if not bool(np.all(np.abs(spec.coeffs) == target)):
+    if not _is_flat(spec):
         raise ValueError("spectrum is not flat; the function is not bent")
     return TruthTable(spec.n, (spec.coeffs < 0).astype(np.uint8))

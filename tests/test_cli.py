@@ -89,6 +89,25 @@ def test_arity_cap_env_var(run, monkeypatch):
     assert run(["gen", "--kind", "constant", "--n", "5"])[0] == 2
 
 
+def test_arity_cap_applies_to_plot_and_paper(run, monkeypatch, tmp_path):
+    report = tmp_path / "r.csv"
+    assert run(["dj", "--tt", "0" * 64, "--out", str(report)])[0] == 0
+    monkeypatch.setenv("BENTSPECTRA_MAX_N", "4")
+    code, out, err = run(["plot", "--in", str(report)])
+    assert code == 2 and out == "" and "cap" in err
+    monkeypatch.setenv("BENTSPECTRA_MAX_N", "3")
+    code, _, err = run(["paper", "--out", str(tmp_path / "scenarios")])
+    assert code == 2 and "cap" in err
+    assert not (tmp_path / "scenarios").exists()
+
+
+def test_bad_arity_cap_rejected_by_plot(run, monkeypatch):
+    _, report, _ = run(["dj", "--tt", "0001"])
+    monkeypatch.setenv("BENTSPECTRA_MAX_N", "abc")
+    code, out, err = run(["plot", "--tt", report])
+    assert code == 2 and out == "" and "BENTSPECTRA_MAX_N" in err
+
+
 def test_soft_arity_warning(run):
     code, out, err = run(["gen", "--kind", "constant", "--n", "21"])
     assert code == 0
@@ -161,6 +180,26 @@ def test_file_input(run, tmp_path):
     assert code == 0 and json.loads(out)["is_bent"] is True
     code, _, err = run(["classify", "--in", str(table), "--tt", "0001"])
     assert code == 2
+
+
+def _assert_file_error(result):
+    code, out, err = result
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_missing_input_file_exit_2(run, tmp_path):
+    _assert_file_error(run(["dj", "--in", str(tmp_path / "missing")]))
+
+
+def test_directory_input_exit_2(run, tmp_path):
+    _assert_file_error(run(["sample", "--in", str(tmp_path)]))
+
+
+def test_paper_out_existing_file_exit_2(run, tmp_path):
+    target = tmp_path / "taken"
+    target.write_text("")
+    _assert_file_error(run(["paper", "--out", str(target)]))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ from bentspectra import (
     simulate_circuit,
     simulate_with_ancilla,
 )
-from bentspectra.djsim import ANCILLA_MAX_N, STATEVECTOR_MAX_N, _DIRECT_MAX_N, _SAMPLE_CHUNK
+from bentspectra.djsim import ANCILLA_MAX_N, STATEVECTOR_MAX_N, _SAMPLE_CHUNK
+from bentspectra.walsh import NAIVE_MAX_N
 
 ROUTE_TOL = 1e-12
 
@@ -93,7 +94,7 @@ def test_route_caps():
     with pytest.raises(ValueError):
         simulate_with_ancilla(make_constant(ANCILLA_MAX_N + 1, 0))
     with pytest.raises(ValueError):
-        amplitudes_direct(make_constant(_DIRECT_MAX_N + 1, 0))
+        amplitudes_direct(make_constant(NAIVE_MAX_N + 1, 0))
 
 
 # ---------------------------------------------------------------------------
