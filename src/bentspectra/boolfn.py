@@ -150,6 +150,12 @@ def _frozen_array(values, n: int, dtype: type, what: str) -> np.ndarray:
     return arr
 
 
+def _check_bits(bits: np.ndarray) -> None:
+    """Every entry of a table, or of a (2^n, B) block of table columns, is 0 or 1."""
+    if bits.max(initial=0) > 1:
+        raise ValueError("table entries must be 0 or 1")
+
+
 class TruthTable(_FrozenTable):
     """Truth table of a Boolean function on n bits.
 
@@ -163,8 +169,7 @@ class TruthTable(_FrozenTable):
     def __init__(self, n: int, bits: Sequence[int] | np.ndarray):
         n = _check_arity(n)
         arr = _frozen_array(bits, n, np.uint8, "table entries")
-        if arr.max(initial=0) > 1:
-            raise ValueError("table entries must be 0 or 1")
+        _check_bits(arr)
         self._set(n=n, bits=arr)
 
     # -- constructors -------------------------------------------------------
@@ -321,27 +326,36 @@ class AnfPolynomial(_FrozenTable):
         return f"AnfPolynomial(n={self.n}, degree={self.degree}, monomials={self.monomials()!r})"
 
 
-def _mobius_inplace(a: np.ndarray) -> None:
-    """Binary Moebius transform: XOR butterfly, its own inverse."""
-    size = a.shape[0]
+def _butterfly(a: np.ndarray, pair: Callable[[np.ndarray, np.ndarray], None]) -> None:
+    """In-place butterfly over axis -2 of a C-contiguous (..., 2^m, B) array.
+
+    Column b is table b.  Level h hands ``pair`` the rows i and i + h of each
+    run of 2h rows; with the table axis innermost each half is h * B
+    contiguous entries even at h = 1 (Arndt, *Matters Computational*).
+    """
+    size, width = a.shape[-2:]
     h = 1
     while h < size:
-        m = a.reshape(-1, 2, h)
-        m[:, 1, :] ^= m[:, 0, :]
+        m = a.reshape(-1, 2, h * width)
+        pair(m[:, 0, :], m[:, 1, :])
         h <<= 1
+
+
+def _xor_pair(x: np.ndarray, y: np.ndarray) -> None:
+    y ^= x
 
 
 def to_anf(tt: TruthTable) -> AnfPolynomial:
     """Algebraic normal form of a truth table (Moebius transform)."""
     a = tt.bits.copy()
-    _mobius_inplace(a)
+    _butterfly(a[:, None], _xor_pair)  # XOR butterfly, its own inverse
     return AnfPolynomial(tt.n, a)
 
 
 def from_anf(a: AnfPolynomial) -> TruthTable:
     """Truth table of an ANF polynomial (inverse Moebius transform)."""
     bits = a.coefficients.copy()
-    _mobius_inplace(bits)
+    _butterfly(bits[:, None], _xor_pair)
     return TruthTable(a.n, bits)
 
 
@@ -412,10 +426,20 @@ def make_mm_bent(
     return TruthTable(2 * half, bits)
 
 
+def _random_columns(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """(2^n, count) block whose columns are ``count`` successive random tables.
+
+    A draw takes one byte per entry from whole 32-bit words, so a 2-entry
+    table uses a word of its own: rows of 4 entries keep n = 1 in step.
+    """
+    rows = rng.integers(0, 2, size=(count, max(4, 1 << n)), dtype=np.uint8)
+    return np.ascontiguousarray(rows[:, : 1 << n].T)
+
+
 def random_function(n: int, rng: np.random.Generator) -> TruthTable:
     """Uniformly random function: each table entry an independent fair bit."""
     n = _check_arity(n)
-    return TruthTable(n, rng.integers(0, 2, size=1 << n, dtype=np.uint8))
+    return TruthTable(n, _random_columns(n, 1, rng)[:, 0])
 
 
 class ShuffleSearchResult(NamedTuple):

@@ -253,14 +253,31 @@ def _cmd_plot(args, cap: int) -> int:
     return 0
 
 
-def _route_deviation(tt: TruthTable) -> float:
-    direct = djsim.amplitudes_direct(tt).amps
-    routes = (
-        djsim.amplitudes_from_walsh(walsh.fwht(tt)).amps,
-        djsim.simulate_circuit(tt).amps,
-        djsim.simulate_with_ancilla(tt).amps,
-    )
-    return max(float(np.abs(r - direct).max()) for r in routes)
+#: Table entries ``verify`` runs at once: blocks of max(1, 2^18 / 2^n) tables,
+#: so its memory depends on n and not on the --random COUNT.
+_VERIFY_BLOCK_ENTRIES = 1 << 18
+
+
+def _worst_deviation(n: int, first: int, bits: np.ndarray) -> tuple[float, str, int, int]:
+    """Largest |route - literal sum| over the tables first, first + 1, ... in ``bits``.
+
+    Returns it with its route, table and outcome p.  Every value check that
+    ``TruthTable``, ``WalshSpectrum`` and ``Amplitudes`` make runs on every column.
+    """
+    boolfn._check_bits(bits)
+    w = walsh._fwht_columns(bits)
+    walsh._check_spectra(n, w)
+    direct = djsim._direct_columns(n, bits)
+    routes = {
+        "walsh": djsim._scaled_spectra(n, w),
+        "circuit": djsim._circuit_columns(n, bits),
+        "ancilla": djsim._ancilla_columns(n, bits),
+    }
+    for amps in (direct, *routes.values()):
+        djsim._check_normalized(amps)
+    dev = np.stack([np.abs(amps - direct) for amps in routes.values()])
+    route, p, col = np.unravel_index(int(dev.argmax()), dev.shape)
+    return float(dev[route, p, col]), list(routes)[route], first + int(col), int(p)
 
 
 def _cmd_verify(args, cap: int) -> int:
@@ -271,22 +288,34 @@ def _cmd_verify(args, cap: int) -> int:
         if args.n is None:
             raise ValueError("--random requires --n")
         n = _check_arity(args.n, cap)
+        count = args.random
         rng = np.random.default_rng(args.seed)
-        tables = [boolfn.random_function(n, rng) for _ in range(args.random)]
+        per_block = max(1, _VERIFY_BLOCK_ENTRIES >> n)
+        blocks = (
+            (first, boolfn._random_columns(n, min(per_block, count - first), rng))
+            for first in range(0, count, per_block)
+        )
     else:
         tt, _ = _read_table(args, cap)
-        n = tt.n
-        tables = [tt]
+        n, count = tt.n, 1
+        blocks = [(0, tt.bits[:, None])]
 
-    deviation = max(_route_deviation(tt) for tt in tables)
+    deviation, route, table, p = max(
+        (_worst_deviation(n, first, bits) for first, bits in blocks), key=lambda w: w[0]
+    )
     ok = deviation < ROUTE_TOLERANCE
     status = "OK" if ok else "FAIL"
     print(
-        f"verified {len(tables)} table(s) at n={n}: "
+        f"verified {count} table(s) at n={n}: "
         f"max route deviation {deviation:.3e} ({status})"
     )
     if not ok:
-        print("error: amplitude routes disagree beyond tolerance", file=sys.stderr)
+        print(
+            "error: amplitude routes disagree beyond tolerance: "
+            f"{route} route off the literal sum by {deviation:.3e} "
+            f"on table {table} at p={p}",
+            file=sys.stderr,
+        )
         return 3
     return 0
 

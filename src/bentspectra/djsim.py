@@ -27,8 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfn import TruthTable, _check_arity, _Frozen, _frozen_array
-from .walsh import NAIVE_MAX_N, WalshSpectrum, _character_matrix
+from .boolfn import TruthTable, _butterfly, _check_arity, _Frozen, _frozen_array
+from .walsh import WalshSpectrum, _naive_columns
 
 #: Statevector caps: one float64 buffer of 2^n (plus 2^{n+1} for the
 #: ancilla route) entries.
@@ -44,6 +44,12 @@ _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _NORM_TOL = 1e-12
 
 
+def _check_normalized(amps: np.ndarray) -> None:
+    """Squares sum to 1 within 1e-12, per table column of a (2^n, B) block too."""
+    if not np.all(np.abs((amps * amps).sum(axis=0) - 1.0) <= _NORM_TOL):  # NaN fails too
+        raise ValueError("amplitudes are not normalized")
+
+
 class Amplitudes(_Frozen):
     """Real output amplitudes of the n-qubit circuit, entry p = psi(p).
 
@@ -55,8 +61,7 @@ class Amplitudes(_Frozen):
     def __init__(self, n: int, amps: Sequence[float] | np.ndarray):
         n = _check_arity(n)
         arr = _frozen_array(amps, n, np.float64, "amplitudes")
-        if not abs(float(arr @ arr) - 1.0) <= _NORM_TOL:  # NaN fails too
-            raise ValueError("amplitudes are not normalized")
+        _check_normalized(arr)
         self._set(n=n, amps=arr)
 
     def norm_squared(self) -> float:
@@ -84,40 +89,49 @@ class MeasurementHistogram(_Frozen):
         return f"MeasurementHistogram(n={self.n}, shots={self.shots})"
 
 
+# Each route's body maps a (2^n, B) block of table columns to unvalidated
+# amplitude columns; the public function runs it on one column.
+
+
+def _direct_columns(n: int, bits: np.ndarray) -> np.ndarray:
+    return _naive_columns(n, bits) / (1 << n)
+
+
 def amplitudes_direct(tt: TruthTable) -> Amplitudes:
     """Literal evaluation of the amplitude sum in float64, O(4^n).
 
     Independent of both the butterfly transform and the statevector
-    pipeline; all partial sums are integers below 2^53, so the result is
-    exact despite the floating point.
+    pipeline; every partial sum is an integer of at most 2^n in magnitude,
+    so the result is exact despite the floating point.
     """
-    if tt.n > NAIVE_MAX_N:
-        raise ValueError(f"amplitudes_direct supports n <= {NAIVE_MAX_N}, got {tt.n}")
-    size = 1 << tt.n
-    chi = _character_matrix(tt.n)
-    signs = (1 - 2 * tt.bits.astype(np.float64)) / size
-    out = np.empty(size, dtype=np.float64)
-    step = max(1, (1 << 22) >> tt.n)
-    for lo in range(0, size, step):
-        out[lo : lo + step] = chi[lo : lo + step].astype(np.float64) @ signs
-    return Amplitudes(tt.n, out)
+    return Amplitudes(tt.n, _direct_columns(tt.n, tt.bits[:, None])[:, 0])
+
+
+def _scaled_spectra(n: int, w: np.ndarray) -> np.ndarray:
+    return w.astype(np.float64) / (1 << n)
 
 
 def amplitudes_from_walsh(spec: WalshSpectrum) -> Amplitudes:
     """psi(p) = W(p) / 2^n, exact up to one float64 division."""
-    return Amplitudes(spec.n, spec.coeffs.astype(np.float64) / (1 << spec.n))
+    return Amplitudes(spec.n, _scaled_spectra(spec.n, spec.coeffs[:, None])[:, 0])
 
 
-def _hadamard_each_qubit(state: np.ndarray, qubits: int) -> None:
-    """Apply H to qubits 0..qubits-1 of a little-endian statevector."""
-    for q in range(qubits):
-        m = state.reshape(-1, 2, 1 << q)
-        x = m[:, 0, :]
-        y = m[:, 1, :]
-        diff = (x - y) * _SQRT1_2
-        x += y
-        x *= _SQRT1_2
-        y[:] = diff
+def _hadamard_pair(x: np.ndarray, y: np.ndarray) -> None:
+    diff = (x - y) * _SQRT1_2
+    x += y
+    x *= _SQRT1_2
+    y[:] = diff
+
+
+def _circuit_columns(n: int, bits: np.ndarray) -> np.ndarray:
+    if n > STATEVECTOR_MAX_N:
+        raise ValueError(f"statevector route supports n <= {STATEVECTOR_MAX_N}, got {n}")
+    state = np.zeros(bits.shape, dtype=np.float64)
+    state[0] = 1.0
+    _butterfly(state, _hadamard_pair)
+    state *= 1.0 - 2.0 * bits
+    _butterfly(state, _hadamard_pair)
+    return state
 
 
 def simulate_circuit(tt: TruthTable) -> Amplitudes:
@@ -126,15 +140,25 @@ def simulate_circuit(tt: TruthTable) -> Amplitudes:
     The phase oracle multiplies the basis amplitude at x by (-1)^f(x); the
     final statevector is real and returned as the output amplitudes.
     """
-    n = tt.n
-    if n > STATEVECTOR_MAX_N:
-        raise ValueError(f"statevector route supports n <= {STATEVECTOR_MAX_N}, got {n}")
-    state = np.zeros(1 << n, dtype=np.float64)
-    state[0] = 1.0
-    _hadamard_each_qubit(state, n)
-    state *= 1.0 - 2.0 * tt.bits
-    _hadamard_each_qubit(state, n)
-    return Amplitudes(n, state)
+    return Amplitudes(tt.n, _circuit_columns(tt.n, tt.bits[:, None])[:, 0])
+
+
+def _ancilla_columns(n: int, bits: np.ndarray) -> np.ndarray:
+    if n > ANCILLA_MAX_N:
+        raise ValueError(f"ancilla route supports n <= {ANCILLA_MAX_N}, got {n}")
+    size = 1 << n
+    state = np.zeros((size << 1, bits.shape[1]), dtype=np.float64)
+    state[size] = 1.0  # |0^n> on the input register, |1> on the ancilla
+    _butterfly(state, _hadamard_pair)
+
+    low, high = state[:size], state[size:]
+    flip = bits.astype(bool)
+    swapped = low[flip]
+    low[flip] = high[flip]
+    high[flip] = swapped
+
+    _butterfly(state.reshape(2, size, -1), _hadamard_pair)  # H on qubits 0..n-1
+    return (low - high) * _SQRT1_2
 
 
 def simulate_with_ancilla(tt: TruthTable) -> Amplitudes:
@@ -145,22 +169,7 @@ def simulate_with_ancilla(tt: TruthTable) -> Amplitudes:
     Discarding it projects onto |->; the surviving n-qubit amplitudes equal
     the phase-oracle route to within rounding.
     """
-    n = tt.n
-    if n > ANCILLA_MAX_N:
-        raise ValueError(f"ancilla route supports n <= {ANCILLA_MAX_N}, got {n}")
-    size = 1 << n
-    state = np.zeros(size << 1, dtype=np.float64)
-    state[size] = 1.0  # |0^n> on the input register, |1> on the ancilla
-    _hadamard_each_qubit(state, n + 1)
-
-    low, high = state[:size], state[size:]
-    flip = tt.bits.astype(bool)
-    swapped = low[flip].copy()
-    low[flip] = high[flip]
-    high[flip] = swapped
-
-    _hadamard_each_qubit(state, n)
-    return Amplitudes(n, (low - high) * _SQRT1_2)
+    return Amplitudes(tt.n, _ancilla_columns(tt.n, tt.bits[:, None])[:, 0])
 
 
 def probabilities(a: Amplitudes) -> np.ndarray:

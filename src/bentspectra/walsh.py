@@ -27,11 +27,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfn import BitVector, TruthTable, _check_arity, _frozen_array, _FrozenTable
+from .boolfn import BitVector, TruthTable, _butterfly, _check_arity, _frozen_array, _FrozenTable
 
 #: walsh_naive materializes the 2^n x 2^n character matrix; past this the
 #: quadratic cost is no longer a usable oracle.
 NAIVE_MAX_N = 12
+
+
+def _check_spectra(n: int, w: np.ndarray) -> None:
+    """What every genuine spectrum, or (2^n, B) block of spectrum columns, satisfies."""
+    size = 1 << n
+    if np.any(np.abs(w) > size) or np.any((w - size) & 1):
+        raise ValueError(f"coefficients must be in [-{size}, {size}] with its parity")
+    if np.any((w.astype(np.int64) ** 2).sum(axis=0) != size * size):
+        raise ValueError("coefficient squares must sum to 4^n (Parseval)")
 
 
 class WalshSpectrum(_FrozenTable):
@@ -47,12 +56,8 @@ class WalshSpectrum(_FrozenTable):
 
     def __init__(self, n: int, coeffs: Sequence[int] | np.ndarray):
         n = _check_arity(n)
-        size = 1 << n
         arr = _frozen_array(coeffs, n, np.int32, "coefficients")
-        if np.any(np.abs(arr) > size) or np.any((arr - size) & 1):
-            raise ValueError(f"coefficients must be in [-{size}, {size}] with its parity")
-        if int((arr.astype(np.int64) ** 2).sum()) != size * size:
-            raise ValueError("coefficient squares must sum to 4^n (Parseval)")
+        _check_spectra(n, arr)
         self._set(n=n, coeffs=arr)
 
     def __repr__(self) -> str:
@@ -96,16 +101,28 @@ class Classification:
 @lru_cache(maxsize=4)
 def _character_matrix(n: int) -> np.ndarray:
     """(-1)^(p.x) as an int8 matrix with rows p and columns x."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    parity = (np.bitwise_count(idx[:, None] & idx[None, :]) & 1).astype(np.int8)
-    chi = 1 - 2 * parity
+    idx = np.arange(1 << n, dtype=np.uint16)  # n <= NAIVE_MAX_N fits 16 bits
+    # in place after the one temporary, so no freed 4^n-byte buffer stays in the heap
+    chi = np.bitwise_count(idx[:, None] & idx[None, :]).view(np.int8)
+    chi &= 1
+    chi *= -2
+    chi += 1
     chi.setflags(write=False)
     return chi
 
 
-def _signs(tt: TruthTable) -> np.ndarray:
-    """(-1)^f(x) as an int32 vector."""
-    return 1 - 2 * tt.bits.astype(np.int32)
+def _naive_columns(n: int, bits: np.ndarray) -> np.ndarray:
+    """The double sum W(p) of each (2^n, B) table column, as exact float64 integers."""
+    if n > NAIVE_MAX_N:
+        raise ValueError(f"the literal sum supports n <= {NAIVE_MAX_N}, got {n}")
+    chi = _character_matrix(n)
+    signs = 1 - 2 * bits.astype(np.float64)
+    out = np.empty(signs.shape)
+    # each float64 chunk of chi (at most 32 MiB) is made once per block
+    step = max(1, (1 << 22) >> n)
+    for lo in range(0, 1 << n, step):
+        out[lo : lo + step] = chi[lo : lo + step].astype(np.float64) @ signs
+    return out
 
 
 def walsh_naive(tt: TruthTable) -> WalshSpectrum:
@@ -115,37 +132,25 @@ def walsh_naive(tt: TruthTable) -> WalshSpectrum:
     independent oracle for ``fwht``.  Limited to n <= NAIVE_MAX_N because
     the full character matrix is materialized.
     """
-    if tt.n > NAIVE_MAX_N:
-        raise ValueError(f"walsh_naive supports n <= {NAIVE_MAX_N}, got {tt.n}")
-    chi = _character_matrix(tt.n)
-    signs = _signs(tt)
-    out = np.empty(1 << tt.n, dtype=np.int32)
-    # chunked so the int32 copy of chi never exceeds a few MiB
-    step = max(1, (1 << 22) >> tt.n)
-    for lo in range(0, 1 << tt.n, step):
-        out[lo : lo + step] = chi[lo : lo + step].astype(np.int32) @ signs
-    return WalshSpectrum(tt.n, out)
+    return WalshSpectrum(tt.n, _naive_columns(tt.n, tt.bits[:, None])[:, 0])
 
 
-def _fwht_inplace(a: np.ndarray) -> None:
-    """Butterfly (a, b) -> (a + b, a - b) over a power-of-two buffer."""
-    size = a.shape[0]
-    h = 1
-    while h < size:
-        m = a.reshape(-1, 2, h)
-        x = m[:, 0, :]
-        y = m[:, 1, :]
-        diff = x - y
-        x += y
-        y[:] = diff
-        h <<= 1
+def _sum_diff(x: np.ndarray, y: np.ndarray) -> None:
+    diff = x - y
+    x += y
+    y[:] = diff
+
+
+def _fwht_columns(bits: np.ndarray) -> np.ndarray:
+    """Unvalidated int32 Walsh spectra of the (2^n, B) table columns ``bits``."""
+    w = 1 - 2 * bits.astype(np.int32)
+    _butterfly(w, _sum_diff)
+    return w
 
 
 def fwht(tt: TruthTable) -> WalshSpectrum:
     """Fast Walsh transform, O(n 2^n), identical output to walsh_naive."""
-    buf = _signs(tt)
-    _fwht_inplace(buf)
-    return WalshSpectrum(tt.n, buf)
+    return WalshSpectrum(tt.n, _fwht_columns(tt.bits[:, None])[:, 0])
 
 
 def _is_flat(spec: WalshSpectrum) -> bool:

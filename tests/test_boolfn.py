@@ -21,7 +21,7 @@ from bentspectra import (
     shuffle_search_bent,
     to_anf,
 )
-from bentspectra.boolfn import MAX_ARITY
+from bentspectra.boolfn import MAX_ARITY, _random_columns
 
 
 @st.composite
@@ -210,6 +210,19 @@ def test_random_function_reproducible():
     assert a == b
     assert a != c
     assert random_function(1, np.random.default_rng(0)).n == 1
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_random_blocks_are_successive_random_functions(n):
+    rng = np.random.default_rng(n)
+    blocks = [_random_columns(n, count, rng) for count in (3, 5)]
+    assert all(block.flags.c_contiguous for block in blocks)
+    rng = np.random.default_rng(n)
+    singles = [random_function(n, rng).bits for _ in range(8)]
+    rng = np.random.default_rng(n)
+    draws = [rng.integers(0, 2, size=1 << n, dtype=np.uint8) for _ in range(8)]
+    assert np.array_equal(np.hstack(blocks), np.stack(singles, axis=1))
+    assert np.array_equal(np.hstack(blocks), np.stack(draws, axis=1))
 
 
 def test_shuffle_search_finds_bent_at_n4():

@@ -5,12 +5,25 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bentspectra import TruthTable, is_bent
+from bentspectra import (
+    TruthTable,
+    amplitudes_direct,
+    amplitudes_from_walsh,
+    cli,
+    djsim,
+    fwht,
+    is_bent,
+    random_function,
+    simulate_circuit,
+    simulate_with_ancilla,
+)
 from bentspectra.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -275,21 +288,116 @@ def test_verify_requires_n_with_random(run):
     assert run(["verify", "--random", "5"])[0] == 2
 
 
+def _broken_circuit(real, broken_call, column):
+    """``djsim._circuit_columns`` with |0...0> in one column of one call."""
+    calls = []
+
+    def circuit(n, bits):
+        amps = real(n, bits)
+        calls.append(bits.shape[1])
+        if len(calls) == broken_call:
+            amps[:, column] = 0.0
+            amps[0, column] = 1.0
+        return amps
+
+    return circuit, calls
+
+
+def _e0_deviation(tt):
+    """Largest |e0 - psi| of a table and the first outcome where it occurs."""
+    dev = np.abs(amplitudes_direct(tt).amps - np.eye(1 << tt.n)[0])
+    p = int(dev.argmax())
+    return dev[p], p
+
+
 def test_verify_route_mismatch_exits_3(run, monkeypatch):
-    import numpy as np
-
-    import bentspectra.cli as cli_mod
-    from bentspectra import Amplitudes
-
-    def broken(tt):
-        amps = np.zeros(1 << tt.n)
-        amps[0] = 1.0
-        return Amplitudes(tt.n, amps)
-
-    monkeypatch.setattr(cli_mod.djsim, "simulate_circuit", broken)
+    circuit, calls = _broken_circuit(djsim._circuit_columns, 1, 0)
+    monkeypatch.setattr(djsim, "_circuit_columns", circuit)
     code, out, err = run(["verify", "--tt", "0001000100011110"])
-    assert code == 3
-    assert "FAIL" in out and "disagree" in err
+    assert code == 3 and calls == [1]
+    dev, p = _e0_deviation(TruthTable.from_string("0001000100011110"))
+    assert out == f"verified 1 table(s) at n=4: max route deviation {dev:.3e} (FAIL)\n"
+    assert err == (
+        "error: amplitude routes disagree beyond tolerance: circuit route off "
+        f"the literal sum by {dev:.3e} on table 0 at p={p}\n"
+    )
+
+
+def test_verify_random_block_mismatch_names_table_and_outcome(run, monkeypatch):
+    monkeypatch.setattr(cli, "_VERIFY_BLOCK_ENTRIES", 64)  # 4 tables of n=4
+    circuit, calls = _broken_circuit(djsim._circuit_columns, 2, 1)
+    monkeypatch.setattr(djsim, "_circuit_columns", circuit)
+    code, out, err = run(["verify", "--random", "10", "--n", "4", "--seed", "3"])
+    assert code == 3 and calls == [4, 4, 2]
+    rng = np.random.default_rng(3)
+    dev, p = _e0_deviation([random_function(4, rng) for _ in range(6)][5])
+    assert out == f"verified 10 table(s) at n=4: max route deviation {dev:.3e} (FAIL)\n"
+    assert err == (
+        "error: amplitude routes disagree beyond tolerance: circuit route off "
+        f"the literal sum by {dev:.3e} on table 5 at p={p}\n"
+    )
+
+
+def reference_route_deviation(tt):
+    """The per-table route check ``verify`` made before it ran blocks."""
+    direct = amplitudes_direct(tt).amps
+    routes = (
+        amplitudes_from_walsh(fwht(tt)).amps,
+        simulate_circuit(tt).amps,
+        simulate_with_ancilla(tt).amps,
+    )
+    return max(float(np.abs(r - direct).max()) for r in routes)
+
+
+def reference_verify_stdout(n, seed, counts):
+    """``verify --random COUNT`` stdout for each count, one table at a time."""
+    rng = np.random.default_rng(seed)
+    devs = [reference_route_deviation(random_function(n, rng)) for _ in range(max(counts))]
+    out = {}
+    for count in counts:
+        deviation = max(devs[:count])
+        status = "OK" if deviation < cli.ROUTE_TOLERANCE else "FAIL"
+        out[count] = (f"verified {count} table(s) at n={n}: "
+                      f"max route deviation {deviation:.3e} ({status})\n")
+    return out
+
+
+def _check_verify_stdout(run, n, seeds, counts):
+    for seed in seeds:
+        expected = reference_verify_stdout(n, seed, counts)
+        for count in counts:
+            argv = ["verify", "--random", str(count), "--n", str(n), "--seed", str(seed)]
+            assert run(argv) == (0, expected[count], "")
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_verify_blocks_match_per_table_reference(run, monkeypatch, n):
+    # blocks of 2^10 entries keep the per-table reference fast at small n
+    monkeypatch.setattr(cli, "_VERIFY_BLOCK_ENTRIES", 1 << 10)
+    block = max(1, (1 << 10) >> n)
+    _check_verify_stdout(run, n, range(3), sorted({1, block, block + 1, 3 * block}))
+
+
+@pytest.mark.parametrize("n, count", [(8, 1025), (12, 8)])
+def test_verify_default_blocks_match_per_table_reference(run, n, count):
+    _check_verify_stdout(run, n, [0], [count])
+
+
+def test_verify_memory_depends_on_n_not_count(run):
+    n = 6
+    block = cli._VERIFY_BLOCK_ENTRIES >> n
+    run(["verify", "--random", "1", "--n", str(n)])  # builds the cached matrix
+    peaks = []
+    for count in (block, 4 * block):
+        tracemalloc.start()
+        try:
+            assert run(["verify", "--random", str(count), "--n", str(n)])[0] == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a block's routes hold megabytes; nothing of a finished block may stay
+    # behind, not even its 2^18-byte table block
+    assert peaks[1] - peaks[0] < 1 << 17, peaks
 
 
 # ---------------------------------------------------------------------------

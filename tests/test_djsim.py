@@ -24,8 +24,17 @@ from bentspectra import (
     simulate_circuit,
     simulate_with_ancilla,
 )
-from bentspectra.djsim import ANCILLA_MAX_N, STATEVECTOR_MAX_N, _SAMPLE_CHUNK
-from bentspectra.walsh import NAIVE_MAX_N
+from bentspectra.boolfn import _random_columns
+from bentspectra.djsim import (
+    ANCILLA_MAX_N,
+    STATEVECTOR_MAX_N,
+    _SAMPLE_CHUNK,
+    _ancilla_columns,
+    _circuit_columns,
+    _direct_columns,
+    _scaled_spectra,
+)
+from bentspectra.walsh import NAIVE_MAX_N, _fwht_columns
 
 ROUTE_TOL = 1e-12
 
@@ -127,6 +136,24 @@ def test_routes_agree_n10_random():
         direct, via_walsh, circuit, ancilla = all_routes(tt)
         for route in (via_walsh, circuit, ancilla):
             assert np.abs(route - direct).max() < ROUTE_TOL
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_column_bodies_match_single_tables_bit_for_bit(n):
+    bits = _random_columns(n, 9, np.random.default_rng(n))
+    w = _fwht_columns(bits)
+    blocks = {
+        amplitudes_direct: _direct_columns(n, bits),
+        simulate_circuit: _circuit_columns(n, bits),
+        simulate_with_ancilla: _ancilla_columns(n, bits),
+    }
+    scaled = _scaled_spectra(n, w)
+    for b in range(bits.shape[1]):
+        tt = TruthTable(n, bits[:, b])
+        assert np.array_equal(w[:, b], fwht(tt).coeffs)
+        assert np.array_equal(scaled[:, b], amplitudes_from_walsh(fwht(tt)).amps)
+        for route, block in blocks.items():
+            assert np.array_equal(block[:, b], route(tt).amps), route.__name__
 
 
 @given(truth_tables(max_n=8))

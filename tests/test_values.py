@@ -1,4 +1,4 @@
-"""The six array-backed value types: immutability and lossless construction."""
+"""The six array-backed value types: immutability, lossless construction, validators."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,9 @@ from bentspectra import (
     WalshSpectrum,
     make_report,
 )
+from bentspectra.boolfn import _check_bits, _random_columns
+from bentspectra.djsim import _check_normalized, _scaled_spectra
+from bentspectra.walsh import _check_spectra, _fwht_columns
 
 VALUES = {
     "TruthTable": (lambda: TruthTable(2, [0, 1, 1, 0]), ("bits",)),
@@ -78,3 +81,23 @@ def test_lossless_inputs_build_the_same_value():
     hist = MeasurementHistogram(1, np.array([1.0, 2.0]), 3.0)
     assert hist.counts.tolist() == [1, 2] and hist.shots == 3
     assert Amplitudes(1, [1, 0]).amps.tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("check, name, edit", [
+    (_check_bits, "bits", lambda v: 2),
+    (_check_spectra, "w", lambda v: 9),  # out of range
+    (_check_spectra, "w", lambda v: v + 1),  # wrong parity
+    (_check_spectra, "w", lambda v: v - 2 if v > 0 else v + 2),  # Parseval
+    (_check_normalized, "amps", lambda v: v + 1e-3),
+    (_check_normalized, "amps", lambda v: np.nan),
+], ids=["bit-2", "w-range", "w-parity", "w-parseval", "amps-norm", "amps-nan"])
+def test_block_validators_check_every_column(check, name, edit):
+    bits = _random_columns(3, 4, np.random.default_rng(0))
+    w = _fwht_columns(bits)
+    block = {"bits": bits, "w": w, "amps": _scaled_spectra(3, w)}[name]
+    args = (3,) if check is _check_spectra else ()
+    check(*args, block)  # the valid block passes
+    block = block.copy()
+    block[0, -1] = edit(block[0, -1])  # spoil the last column only
+    with pytest.raises(ValueError):
+        check(*args, block)
