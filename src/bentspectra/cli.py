@@ -258,28 +258,6 @@ def _cmd_plot(args, cap: int) -> int:
 _VERIFY_BLOCK_ENTRIES = 1 << 18
 
 
-def _worst_deviation(n: int, first: int, bits: np.ndarray) -> tuple[float, str, int, int]:
-    """Largest |route - literal sum| over the tables first, first + 1, ... in ``bits``.
-
-    Returns it with its route, table and outcome p.  Every value check that
-    ``TruthTable``, ``WalshSpectrum`` and ``Amplitudes`` make runs on every column.
-    """
-    boolfn._check_bits(bits)
-    w = walsh._fwht_columns(bits)
-    walsh._check_spectra(n, w)
-    direct = djsim._direct_columns(n, bits)
-    routes = {
-        "walsh": djsim._scaled_spectra(n, w),
-        "circuit": djsim._circuit_columns(n, bits),
-        "ancilla": djsim._ancilla_columns(n, bits),
-    }
-    for amps in (direct, *routes.values()):
-        djsim._check_normalized(amps)
-    dev = np.stack([np.abs(amps - direct) for amps in routes.values()])
-    route, p, col = np.unravel_index(int(dev.argmax()), dev.shape)
-    return float(dev[route, p, col]), list(routes)[route], first + int(col), int(p)
-
-
 def _cmd_verify(args, cap: int) -> int:
     cap = min(cap, walsh.NAIVE_MAX_N)  # the literal-sum route bounds the arity
     if args.random is not None:
@@ -301,7 +279,7 @@ def _cmd_verify(args, cap: int) -> int:
         blocks = [(0, tt.bits[:, None])]
 
     deviation, route, table, p = max(
-        (_worst_deviation(n, first, bits) for first, bits in blocks), key=lambda w: w[0]
+        (djsim._worst_deviation(n, first, bits) for first, bits in blocks), key=lambda w: w[0]
     )
     ok = deviation < ROUTE_TOLERANCE
     status = "OK" if ok else "FAIL"

@@ -27,8 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfn import TruthTable, _butterfly, _check_arity, _Frozen, _frozen_array
-from .walsh import WalshSpectrum, _naive_columns
+from .boolfn import TruthTable, _butterfly, _check_arity, _check_bits, _Frozen, _frozen_array
+from .walsh import WalshSpectrum, _check_spectra, _fwht_columns, _naive_columns
 
 #: Statevector caps: one float64 buffer of 2^n (plus 2^{n+1} for the
 #: ancilla route) entries.
@@ -153,9 +153,7 @@ def _ancilla_columns(n: int, bits: np.ndarray) -> np.ndarray:
 
     low, high = state[:size], state[size:]
     flip = bits.astype(bool)
-    swapped = low[flip]
-    low[flip] = high[flip]
-    high[flip] = swapped
+    low[:], high[:] = np.where(flip, high, low), np.where(flip, low, high)
 
     _butterfly(state.reshape(2, size, -1), _hadamard_pair)  # H on qubits 0..n-1
     return (low - high) * _SQRT1_2
@@ -170,6 +168,28 @@ def simulate_with_ancilla(tt: TruthTable) -> Amplitudes:
     the phase-oracle route to within rounding.
     """
     return Amplitudes(tt.n, _ancilla_columns(tt.n, tt.bits[:, None])[:, 0])
+
+
+def _worst_deviation(n: int, first: int, bits: np.ndarray) -> tuple[float, str, int, int]:
+    """Largest |route - literal sum| over the tables first, first + 1, ... in ``bits``.
+
+    Returns it with its route, table and outcome p.  Every value check that
+    ``TruthTable``, ``WalshSpectrum`` and ``Amplitudes`` make runs on every column.
+    """
+    _check_bits(bits)
+    w = _fwht_columns(bits)
+    _check_spectra(n, w)
+    direct = _direct_columns(n, bits)
+    routes = {
+        "walsh": _scaled_spectra(n, w),
+        "circuit": _circuit_columns(n, bits),
+        "ancilla": _ancilla_columns(n, bits),
+    }
+    for amps in (direct, *routes.values()):
+        _check_normalized(amps)
+    dev = np.stack([np.abs(amps - direct) for amps in routes.values()])
+    route, p, col = np.unravel_index(int(dev.argmax()), dev.shape)
+    return float(dev[route, p, col]), list(routes)[route], first + int(col), int(p)
 
 
 def probabilities(a: Amplitudes) -> np.ndarray:

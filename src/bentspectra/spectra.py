@@ -3,13 +3,14 @@
 A ``SpectrumReport`` bundles, for every outcome index p, the integer Walsh
 coefficient W(p), the real output amplitude W(p) / 2^n and the measurement
 probability (W(p) / 2^n)^2, plus metadata (generator description, seed when
-one was used, and the spectral classification).  The two float columns are
-derived from W, and the constructor rejects columns that disagree with it,
-so every row is a pure function of its W value.  The exporters use that:
-they format each distinct W once (a bent function has two) and index the
-formatted text by outcome.  All exporters are deterministic: identical
-inputs produce identical bytes.  Floating-point columns are printed with
-up to 17 significant digits, enough to round-trip float64 losslessly.
+one was used, and the spectral classification).  It is built from a
+``WalshSpectrum`` alone and derives every other column from W, so every row
+is a pure function of its W value; ``read_report`` rejects files whose
+columns disagree with their W.  The exporters use that: they format each
+distinct W once (a bent function has two) and index the formatted text by
+outcome.  All exporters are deterministic: identical inputs produce
+identical bytes.  Floating-point columns are printed with up to 17
+significant digits, enough to round-trip float64 losslessly.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .boolfn import TruthTable, _check_arity, _Frozen
-from .djsim import amplitudes_from_walsh, probabilities
-from .walsh import Classification, WalshSpectrum, classify, fwht
+from .walsh import WalshSpectrum, classify, fwht
 
 ASCII_MAX_BARS = 1 << 8
 SVG_MAX_BARS = 1 << 20
@@ -34,40 +34,22 @@ _CSV_HEADER = "p,walsh,amplitude,probability"
 class SpectrumReport(_Frozen):
     """Per-outcome rows (walsh, amplitude, probability) plus run metadata.
 
-    ``walsh`` is a coefficient sequence or an already validated
-    ``WalshSpectrum``.  The amplitude column must equal walsh / 2^n and the
-    probability column its square, exactly.
+    Every column comes from ``spectrum``: the amplitude is W / 2^n, the
+    probability its square, and the classification that of W.
     """
 
     __slots__ = ("n", "walsh", "amplitudes", "probabilities", "generator", "seed",
                  "classification")
 
-    def __init__(
-        self,
-        n: int,
-        walsh: Sequence[int] | np.ndarray | WalshSpectrum,
-        amplitudes: Sequence[float] | np.ndarray,
-        probs: Sequence[float] | np.ndarray,
-        generator: str = "",
-        seed: int | None = None,
-        classification: Classification | None = None,
-    ):
-        spec = walsh if isinstance(walsh, WalshSpectrum) else WalshSpectrum(n, walsh)
-        if spec.n != n:
-            raise ValueError(f"spectrum has n = {spec.n}, report has n = {n}")
-        w = spec.coeffs
-        a = w / float(1 << n)
+    def __init__(self, spectrum: WalshSpectrum, generator: str = "",
+                 seed: int | None = None):
+        a = spectrum.coeffs / float(1 << spectrum.n)
         p = a * a
-        if not np.array_equal(amplitudes, a):
-            raise ValueError("amplitude column must equal walsh / 2^n")
-        if not np.array_equal(probs, p):
-            raise ValueError("probability column must equal amplitude^2")
         for arr in (a, p):
             arr.setflags(write=False)
-        if classification is None:
-            classification = classify(spec)
-        self._set(n=n, walsh=w, amplitudes=a, probabilities=p, generator=generator,
-                  seed=None if seed is None else int(seed), classification=classification)
+        self._set(n=spectrum.n, walsh=spectrum.coeffs, amplitudes=a, probabilities=p,
+                  generator=generator, seed=None if seed is None else int(seed),
+                  classification=classify(spectrum))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpectrumReport):
@@ -77,7 +59,6 @@ class SpectrumReport(_Frozen):
             and np.array_equal(self.walsh, other.walsh)
             and self.generator == other.generator
             and self.seed == other.seed
-            and self.classification == other.classification
         )
 
     def __repr__(self) -> str:
@@ -88,17 +69,7 @@ def make_report(
     tt: TruthTable, generator: str = "", seed: int | None = None
 ) -> SpectrumReport:
     """Full report for a truth table via the integer Walsh route."""
-    spec = fwht(tt)
-    amps = amplitudes_from_walsh(spec)
-    return SpectrumReport(
-        tt.n,
-        spec,
-        amps.amps,
-        probabilities(amps),
-        generator=generator,
-        seed=seed,
-        classification=classify(spec),
-    )
+    return SpectrumReport(fwht(tt), generator, seed)
 
 
 def _fmt(x: float) -> str:
@@ -154,6 +125,17 @@ def _check_order(p_column: Sequence[int]) -> None:
         raise ValueError("report rows must cover p = 0 .. 2^n - 1 in order")
 
 
+def _checked_report(n: int, walsh: list, amplitudes: list, probs: list,
+                    generator: str = "", seed: int | None = None) -> SpectrumReport:
+    """Report of a parsed W column whose float columns must be exactly its own."""
+    report = SpectrumReport(WalshSpectrum(n, walsh), generator, seed)
+    if not np.array_equal(amplitudes, report.amplitudes):
+        raise ValueError("amplitude column must equal walsh / 2^n")
+    if not np.array_equal(probs, report.probabilities):
+        raise ValueError("probability column must equal amplitude^2")
+    return report
+
+
 def _read_json(obj) -> SpectrumReport:
     try:
         n, rows = obj["n"], obj["rows"]
@@ -172,8 +154,7 @@ def _read_json(obj) -> SpectrumReport:
     seed = obj.get("seed")
     if seed is not None and type(seed) is not int:
         raise ValueError(f"JSON report seed must be an integer, got {seed!r}")
-    report = SpectrumReport(n, *columns[1:], generator=str(obj.get("generator", "")),
-                            seed=seed)
+    report = _checked_report(n, *columns[1:], str(obj.get("generator", "")), seed)
     if obj.get("classification") != report.classification.as_dict():
         raise ValueError("JSON report classification is missing or contradicts its walsh column")
     return report
@@ -193,7 +174,7 @@ def _read_csv(lines: list[str]) -> SpectrumReport:
         raise ValueError(f"report row {row} has {commas[row] + 1} fields, expected 4")
     flat = ",".join(rows).split(",")
     _check_order(list(map(int, flat[0::4])))
-    return SpectrumReport(
+    return _checked_report(
         count.bit_length() - 1,
         _parse_column(flat[1::4], int),
         _parse_column(flat[2::4], float),
@@ -214,17 +195,20 @@ def read_report(text: str) -> SpectrumReport:
     return _read_csv(text.splitlines())
 
 
+def _indexed_csv(name: str, values: list) -> str:
+    """Header ``p,<name>`` then one ``p,value`` row per outcome."""
+    rows = "\n".join([f"{p},{v}" for p, v in enumerate(values)])
+    return f"p,{name}\n{rows}\n"
+
+
 def export_walsh_csv(spec: WalshSpectrum) -> str:
     """Bare spectrum CSV: header ``p,walsh`` then one row per p."""
-    lines = ["p,walsh"]
-    lines.extend(f"{p},{int(c)}" for p, c in enumerate(spec.coeffs))
-    return "\n".join(lines) + "\n"
+    return _indexed_csv("walsh", spec.coeffs.tolist())
 
 
 def export_histogram_csv(hist) -> str:
     """Histogram CSV: header ``p,count`` then one row per outcome."""
-    rows = "\n".join([f"{p},{c}" for p, c in enumerate(hist.counts.tolist())])
-    return f"p,count\n{rows}\n"
+    return _indexed_csv("count", hist.counts.tolist())
 
 
 def export_histogram_json(hist, seed: int | None = None) -> str:

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from bentspectra import (
     SpectrumReport,
     TruthTable,
+    WalshSpectrum,
     amplitudes_from_walsh,
+    classify,
     export_csv,
     export_json,
     fwht,
@@ -20,6 +22,7 @@ from bentspectra import (
     make_constant,
     make_inner_product_bent,
     make_report,
+    random_function,
     read_report,
     render_bars,
     sample_measurements,
@@ -94,22 +97,60 @@ def test_csv_round_trip_reconstructs_classification():
     assert np.array_equal(parsed.walsh, report.walsh)
 
 
-def test_report_validation():
-    with pytest.raises(ValueError):
-        SpectrumReport(2, [4, 0, 0, 0], [1, 0, 0, 0], [0.5, 0, 0, 0])
-    with pytest.raises(ValueError):
-        SpectrumReport(2, [4, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0])
+@pytest.mark.parametrize("tt", [
+    TruthTable(2, [0, 0, 0, 1]),
+    make_inner_product_bent(6),
+    make_affine(5, 9, 1),
+    make_constant(3, 0),
+    random_function(7, np.random.default_rng(3)),
+])
+def test_report_derives_every_column_from_its_spectrum(tt):
+    spec = fwht(tt)
+    report = SpectrumReport(spec, "g", 11)
+    assert report == make_report(tt, "g", 11)
+    assert report.n == tt.n
+    assert np.array_equal(report.walsh, spec.coeffs)
+    assert np.array_equal(report.amplitudes, spec.coeffs / 2**tt.n)
+    assert np.array_equal(report.probabilities, report.amplitudes ** 2)
+    assert report.classification == classify(spec)
+    assert (report.generator, report.seed) == ("g", 11)
+    assert SpectrumReport(spec) == make_report(tt)
+    assert SpectrumReport(spec) != report
+
+
+def _report_texts(walsh, amplitudes, probs):
+    """The columns as CSV and as JSON; the reader checks them before the missing classification."""
+    rows = list(zip(range(len(walsh)), walsh, map(float, amplitudes), map(float, probs)))
+    csv = "p,walsh,amplitude,probability\n" + "".join(
+        f"{p},{w},{a!r},{q!r}\n" for p, w, a, q in rows)
+    obj = {"n": 2, "generator": "", "rows": [
+        {"p": p, "walsh": w, "amplitude": a, "probability": q} for p, w, a, q in rows]}
+    return csv, json.dumps(obj)
+
+
+@pytest.mark.parametrize("walsh, amplitudes, probs, message", [
+    ([4, 0, 0, 0], [1, 0, 0, 0], [0.5, 0, 0, 0], "probability"),
+    ([4, 0, 0], [1, 0, 0], [1, 0, 0], "row"),
     # columns that contradict the walsh column, each by one sign or one ulp
-    with pytest.raises(ValueError, match="amplitude"):
-        SpectrumReport(2, [2, 2, 2, -2], [0.5, 0.5, 0.5, 0.5], [0.25] * 4)
-    with pytest.raises(ValueError, match="probability"):
-        SpectrumReport(2, [2, 2, 2, -2], [0.5, 0.5, 0.5, -0.5],
-                       [0.25, 0.25, 0.25, np.nextafter(0.25, 1)])
+    ([2, 2, 2, -2], [0.5, 0.5, 0.5, 0.5], [0.25] * 4, "amplitude"),
+    ([2, 2, 2, -2], [0.5, 0.5, 0.5, -0.5], [0.25, 0.25, 0.25, np.nextafter(0.25, 1)],
+     "probability"),
     # a walsh column that is no spectrum, even though the other columns agree
+    ([4, 0, 0, 2], [1, 0, 0, 0.5], [1, 0, 0, 0.25], "Parseval"),
+])
+def test_report_contradictions_rejected(walsh, amplitudes, probs, message):
+    for text in _report_texts(walsh, amplitudes, probs):
+        with pytest.raises(ValueError, match=message):
+            read_report(text)
+
+
+def test_report_validation():
+    with pytest.raises(ValueError, match="expected 4 coefficients"):
+        WalshSpectrum(2, [4, 0, 0])
     with pytest.raises(ValueError, match="Parseval"):
-        SpectrumReport(2, [4, 0, 0, 2], [1, 0, 0, 0.5], [1, 0, 0, 0.25])
-    assert SpectrumReport(2, [2, 2, 2, -2], [0.5, 0.5, 0.5, -0.5], [0.25] * 4) \
-        == make_report(TruthTable(2, [0, 0, 0, 1]))
+        WalshSpectrum(2, [4, 0, 0, 2])
+    csv, _ = _report_texts([2, 2, 2, -2], [0.5, 0.5, 0.5, -0.5], [0.25] * 4)
+    assert read_report(csv) == make_report(TruthTable(2, [0, 0, 0, 1]))
     with pytest.raises(ValueError):
         read_report("")
     with pytest.raises(ValueError):
@@ -379,9 +420,9 @@ def reference_render_svg(values, title):
     return "\n".join(out) + "\n"
 
 
-def reference_export_histogram_csv(hist):
-    lines = ["p,count"]
-    lines.extend(f"{p},{int(c)}" for p, c in enumerate(hist.counts))
+def reference_indexed_csv(name, values):
+    lines = [f"p,{name}"]
+    lines.extend(f"{p},{int(c)}" for p, c in enumerate(values))
     return "\n".join(lines) + "\n"
 
 
@@ -404,8 +445,9 @@ def _assert_writers_match_reference(report):
     for column in (report.walsh, report.amplitudes, report.probabilities):
         assert render_bars(column, report.generator, format="svg") \
             == reference_render_svg(column, report.generator)
-    bare = SpectrumReport(report.n, report.walsh, report.amplitudes, report.probabilities)
-    assert read_report(export_csv(report)) == bare
+    spec = WalshSpectrum(report.n, report.walsh)
+    assert export_walsh_csv(spec) == reference_indexed_csv("walsh", spec.coeffs)
+    assert read_report(export_csv(report)) == SpectrumReport(spec)
     assert read_report(export_json(report)) == report
 
 
@@ -437,5 +479,5 @@ def test_svg_matches_per_row_reference_on_any_values(values, title):
 def test_histogram_writers_match_per_row_reference(tt, shots, seed):
     hist = sample_measurements(amplitudes_from_walsh(fwht(tt)), shots,
                                np.random.default_rng(seed))
-    assert export_histogram_csv(hist) == reference_export_histogram_csv(hist)
+    assert export_histogram_csv(hist) == reference_indexed_csv("count", hist.counts)
     assert json.loads(export_histogram_json(hist))["counts"] == [int(c) for c in hist.counts]
