@@ -326,19 +326,54 @@ class AnfPolynomial(_FrozenTable):
         return f"AnfPolynomial(n={self.n}, degree={self.degree}, monomials={self.monomials()!r})"
 
 
+#: Entries of the transposed block that the low butterfly levels run on.
+_SCRATCH = 1 << 15
+
+
+def _levels(
+    a: np.ndarray, pair: Callable[[np.ndarray, np.ndarray], None], h: int, stop: int
+) -> None:
+    """Levels h, 2h, ... below ``stop`` over axis -2 of a C-contiguous (..., rows, B) array."""
+    width = a.shape[-1]
+    while h < stop:
+        m = a.reshape(-1, 2, h * width)
+        pair(m[:, 0, :], m[:, 1, :])
+        h <<= 1
+
+
 def _butterfly(a: np.ndarray, pair: Callable[[np.ndarray, np.ndarray], None]) -> None:
     """In-place butterfly over axis -2 of a C-contiguous (..., 2^m, B) array.
 
     Column b is table b.  Level h hands ``pair`` the rows i and i + h of each
     run of 2h rows; with the table axis innermost each half is h * B
-    contiguous entries even at h = 1 (Arndt, *Matters Computational*).
+    contiguous entries (Arndt, *Matters Computational*).  When B is below
+    G = 2^(m//2), those runs are short at the low levels, so, if at least two
+    groups of G rows fit the scratch block, they run in two phases (the
+    four-step split of Bailey, "FFTs in external or hierarchical
+    memory"): each chunk of groups of G rows is copied transposed to
+    (G, groups, B) in one small scratch block, where levels 1 ... G/2 see
+    halves of h * groups * B contiguous entries, and copied back; levels
+    G ... 2^(m-1) then run in place.  Every entry meets the same partner
+    under the same elementwise ``pair`` in the same level order, so the
+    result is bit-identical to one loop over all levels.
     """
+    if not a.flags.c_contiguous:
+        raise ValueError("the butterfly runs in place on a C-contiguous array")
     size, width = a.shape[-2:]
+    group = 1 << (size.bit_length() - 1) // 2
+    chunk = _SCRATCH // (group * width)
     h = 1
-    while h < size:
-        m = a.reshape(-1, 2, h * width)
-        pair(m[:, 0, :], m[:, 1, :])
-        h <<= 1
+    if width < group and chunk > 1:
+        groups = a.reshape(-1, group, width)
+        scratch = np.empty(min(chunk, len(groups)) * group * width, a.dtype)
+        for lo in range(0, len(groups), chunk):
+            part = groups[lo : lo + chunk]
+            block = scratch[: part.size].reshape(group, -1, width)
+            block[...] = part.transpose(1, 0, 2)
+            _levels(block.reshape(group, -1), pair, 1, group)
+            part[...] = block.transpose(1, 0, 2)
+        h = group
+    _levels(a, pair, h, size)
 
 
 def _xor_pair(x: np.ndarray, y: np.ndarray) -> None:

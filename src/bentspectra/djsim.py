@@ -16,6 +16,11 @@ rounding (~1e-15) and are checked against each other at 1e-12:
 * ``simulate_with_ancilla``  - (n+1)-qubit statevector with a bit-flip
   oracle and the ancilla prepared in |->, discarded at the end.
 
+Both statevector routes prepare the first Hadamard layer in closed form: on
+a basis state it yields one constant magnitude, which is computed with the
+butterfly's own rounding, so the state equals the gate-by-gate one bit for
+bit.  The oracle and the final Hadamard layer are applied as gates.
+
 Everything here is a pure function; the cost is O(n 2^n) or worse, so no
 quantum query advantage is claimed or implied.
 """
@@ -123,13 +128,23 @@ def _hadamard_pair(x: np.ndarray, y: np.ndarray) -> None:
     y[:] = diff
 
 
+def _signed_layer(levels: int, bits: np.ndarray) -> np.ndarray:
+    """(-1)^f(x) times the constant entry v of H^levels applied to a basis state.
+
+    The butterfly maps a constant entry v to (v + 0) * S and (v - 0) * S at
+    each level, so v is the running product of ``levels`` factors S = 1/sqrt(2),
+    rounded as the gate-by-gate route rounds it.
+    """
+    v = 1.0
+    for _ in range(levels):
+        v *= _SQRT1_2
+    return np.ascontiguousarray(np.where(bits, -v, v))
+
+
 def _circuit_columns(n: int, bits: np.ndarray) -> np.ndarray:
     if n > STATEVECTOR_MAX_N:
         raise ValueError(f"statevector route supports n <= {STATEVECTOR_MAX_N}, got {n}")
-    state = np.zeros(bits.shape, dtype=np.float64)
-    state[0] = 1.0
-    _butterfly(state, _hadamard_pair)
-    state *= 1.0 - 2.0 * bits
+    state = _signed_layer(n, bits)
     _butterfly(state, _hadamard_pair)
     return state
 
@@ -137,7 +152,9 @@ def _circuit_columns(n: int, bits: np.ndarray) -> np.ndarray:
 def simulate_circuit(tt: TruthTable) -> Amplitudes:
     """n-qubit statevector run: |0..0> -> H^n -> phase oracle -> H^n.
 
-    The phase oracle multiplies the basis amplitude at x by (-1)^f(x); the
+    H^n|0..0> is prepared in closed form, every entry 2^(-n/2) rounded as
+    the butterfly rounds it.  The phase oracle multiplies the basis
+    amplitude at x by (-1)^f(x), and the final H^n runs as a butterfly; the
     final statevector is real and returned as the output amplitudes.
     """
     return Amplitudes(tt.n, _circuit_columns(tt.n, tt.bits[:, None])[:, 0])
@@ -146,16 +163,13 @@ def simulate_circuit(tt: TruthTable) -> Amplitudes:
 def _ancilla_columns(n: int, bits: np.ndarray) -> np.ndarray:
     if n > ANCILLA_MAX_N:
         raise ValueError(f"ancilla route supports n <= {ANCILLA_MAX_N}, got {n}")
-    size = 1 << n
-    state = np.zeros((size << 1, bits.shape[1]), dtype=np.float64)
-    state[size] = 1.0  # |0^n> on the input register, |1> on the ancilla
-    _butterfly(state, _hadamard_pair)
-
-    low, high = state[:size], state[size:]
-    flip = bits.astype(bool)
-    low[:], high[:] = np.where(flip, high, low), np.where(flip, low, high)
-
-    _butterfly(state.reshape(2, size, -1), _hadamard_pair)  # H on qubits 0..n-1
+    # H^(n+1)|0..0,1> is v on |x,0> and -v on |x,1>; the bit-flip oracle swaps
+    # the two where f(x) = 1, so |x,0> holds (-1)^f(x) v and |x,1> its negation.
+    state = np.empty((2, *bits.shape))
+    low, high = state
+    low[...] = _signed_layer(n + 1, bits)
+    np.negative(low, out=high)
+    _butterfly(state, _hadamard_pair)  # H on qubits 0..n-1 of both ancilla halves
     return (low - high) * _SQRT1_2
 
 
@@ -163,9 +177,11 @@ def simulate_with_ancilla(tt: TruthTable) -> Amplitudes:
     """(n+1)-qubit run with a bit-flip oracle |x, b> -> |x, b XOR f(x)>.
 
     The ancilla (highest qubit) starts in |1>, is mapped to |-> by the
-    initial Hadamard layer, and absorbs the oracle as a phase kickback.
-    Discarding it projects onto |->; the surviving n-qubit amplitudes equal
-    the phase-oracle route to within rounding.
+    initial Hadamard layer, prepared in closed form like the circuit
+    route's, and absorbs the oracle as a phase kickback.  The final H^n runs
+    on the input register under both ancilla values; discarding the ancilla
+    then projects onto |->, and the surviving n-qubit amplitudes equal the
+    phase-oracle route to within rounding.
     """
     return Amplitudes(tt.n, _ancilla_columns(tt.n, tt.bits[:, None])[:, 0])
 

@@ -153,9 +153,9 @@ def fwht(tt: TruthTable) -> WalshSpectrum:
     return WalshSpectrum(tt.n, _fwht_columns(tt.bits[:, None])[:, 0])
 
 
-def _is_flat(spec: WalshSpectrum) -> bool:
+def _is_flat(n: int, magnitudes: np.ndarray) -> bool:
     """True iff every |W(p)| equals 2^{n/2}: for even n, the bent spectra."""
-    return bool(np.all(np.abs(spec.coeffs) == 1 << (spec.n // 2)))
+    return bool(np.all(magnitudes == 1 << (n // 2)))
 
 
 def classify(spec: WalshSpectrum) -> Classification:
@@ -180,7 +180,7 @@ def classify(spec: WalshSpectrum) -> Classification:
         is_balanced=int(coeffs[0]) == 0,
         is_linear=is_affine and affine_c == 0,
         is_affine=is_affine,
-        is_bent=n % 2 == 0 and _is_flat(spec),
+        is_bent=n % 2 == 0 and _is_flat(n, magnitudes),
         affine_k=affine_k,
         affine_c=affine_c,
         nonlinearity=(size >> 1) - max_abs // 2,
@@ -189,7 +189,7 @@ def classify(spec: WalshSpectrum) -> Classification:
 
 def is_bent(tt: TruthTable) -> bool:
     """True iff the Walsh spectrum of ``tt`` is flat (all |W(p)| = 2^{n/2})."""
-    return tt.n % 2 == 0 and _is_flat(fwht(tt))
+    return tt.n % 2 == 0 and _is_flat(tt.n, np.abs(fwht(tt).coeffs))
 
 
 def dual_bent(spec: WalshSpectrum) -> TruthTable:
@@ -200,6 +200,6 @@ def dual_bent(spec: WalshSpectrum) -> TruthTable:
     """
     if spec.n % 2:
         raise ValueError(f"dual is defined for bent functions only; n = {spec.n} is odd")
-    if not _is_flat(spec):
+    if not _is_flat(spec.n, np.abs(spec.coeffs)):
         raise ValueError("spectrum is not flat; the function is not bent")
     return TruthTable(spec.n, (spec.coeffs < 0).astype(np.uint8))

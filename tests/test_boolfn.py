@@ -1,6 +1,7 @@
 """Truth tables, bit vectors, generators, ANF, and the text formats."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from bentspectra import (
     shuffle_search_bent,
     to_anf,
 )
-from bentspectra.boolfn import MAX_ARITY, _random_columns
+from bentspectra.boolfn import MAX_ARITY, _SCRATCH, _butterfly, _random_columns, _xor_pair
+from bentspectra.djsim import _hadamard_pair
+from bentspectra.walsh import _sum_diff
 
 
 @st.composite
@@ -327,6 +330,91 @@ def test_anf_coefficient_round_trip():
     for _ in range(20):
         a = AnfPolynomial(4, rng.integers(0, 2, 16, dtype=np.uint8))
         assert to_anf(from_anf(a)) == a
+
+
+# ---------------------------------------------------------------------------
+# The butterfly
+# ---------------------------------------------------------------------------
+
+
+def reference_butterfly(a, pair):
+    """The one-loop butterfly: every level in place over the whole array."""
+    size, width = a.shape[-2:]
+    h = 1
+    while h < size:
+        m = a.reshape(-1, 2, h * width)
+        pair(m[:, 0, :], m[:, 1, :])
+        h <<= 1
+
+
+def _butterfly_input(pair, shape, seed):
+    """Values each pair meets in the package: bits, +-1 signs, reals with signed zeros."""
+    rng = np.random.default_rng(seed)
+    if pair is _xor_pair:
+        return rng.integers(0, 2, shape, dtype=np.uint8)
+    if pair is _sum_diff:
+        return (1 - 2 * rng.integers(0, 2, shape)).astype(np.int32)
+    a = rng.standard_normal(shape)
+    a[rng.random(shape) < 0.25] = 0.0
+    a[rng.random(shape) < 0.25] = -0.0
+    return a
+
+
+def _assert_butterflies_match(pair, shape, seed):
+    a = _butterfly_input(pair, shape, seed)
+    expected = a.copy()
+    reference_butterfly(expected, pair)
+    _butterfly(a, pair)
+    assert a.tobytes() == expected.tobytes(), shape
+
+
+#: Entries above which a grid case is left out, to keep the suite fast.  This
+#: drops the widths near G and the scratch edge at m >= 11, mostly with the
+#: leading axis; the same widths run at smaller m.
+_GRID_ENTRIES = 1 << 21
+
+
+@pytest.mark.parametrize("pair", [_sum_diff, _hadamard_pair, _xor_pair])
+@pytest.mark.parametrize("m", range(1, 17))
+def test_butterfly_matches_one_loop_bit_for_bit(pair, m):
+    group = 1 << (m // 2)
+    # widths around G = 2^(m//2) and around the last one whose groups fit the
+    # scratch block twice
+    edge = _SCRATCH // (2 * group)
+    widths = sorted({1, 3, 8, group - 1, group, group + 1, edge, edge + 1} - {0})
+    for width in widths:
+        for lead in ((), (2,)):
+            shape = (*lead, 1 << m, width)
+            if np.prod(shape) <= _GRID_ENTRIES:
+                _assert_butterflies_match(pair, shape, seed=m * 1000 + width)
+
+
+@pytest.mark.parametrize("pair", [_sum_diff, _hadamard_pair, _xor_pair])
+def test_butterfly_matches_one_loop_at_n20(pair):
+    _assert_butterflies_match(pair, (1 << 20, 1), seed=20)
+
+
+def test_butterfly_refuses_non_contiguous_arrays():
+    block = np.asfortranarray(np.arange(8, dtype=np.int32).reshape(4, 2))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _butterfly(block, _sum_diff)
+    assert np.array_equal(block, np.arange(8).reshape(4, 2))  # untouched
+    strided = np.arange(16, dtype=np.int32).reshape(8, 2)[::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _butterfly(strided, _sum_diff)
+    assert np.array_equal(strided, np.arange(16).reshape(8, 2)[::2])
+
+
+def test_butterfly_extra_memory_is_small():
+    column = np.random.default_rng(0).standard_normal((1 << 20, 1))
+    tracemalloc.start()
+    try:
+        _butterfly(column, _hadamard_pair)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the pair's own difference buffer holds half the column at the top level
+    assert peak - column.nbytes // 2 <= 2 << 20
 
 
 # ---------------------------------------------------------------------------

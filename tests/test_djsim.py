@@ -24,14 +24,17 @@ from bentspectra import (
     simulate_circuit,
     simulate_with_ancilla,
 )
-from bentspectra.boolfn import _random_columns
+from bentspectra import djsim
+from bentspectra.boolfn import _butterfly, _random_columns
 from bentspectra.djsim import (
     ANCILLA_MAX_N,
     STATEVECTOR_MAX_N,
     _SAMPLE_CHUNK,
+    _SQRT1_2,
     _ancilla_columns,
     _circuit_columns,
     _direct_columns,
+    _hadamard_pair,
     _scaled_spectra,
 )
 from bentspectra.walsh import NAIVE_MAX_N, _fwht_columns
@@ -154,6 +157,63 @@ def test_column_bodies_match_single_tables_bit_for_bit(n):
         assert np.array_equal(scaled[:, b], amplitudes_from_walsh(fwht(tt)).amps)
         for route, block in blocks.items():
             assert np.array_equal(block[:, b], route(tt).amps), route.__name__
+
+
+def reference_circuit_columns(n, bits):
+    """Gate by gate: |0..0>, H^n, the phase oracle, H^n."""
+    state = np.zeros(bits.shape, dtype=np.float64)
+    state[0] = 1.0
+    _butterfly(state, _hadamard_pair)
+    state *= 1.0 - 2.0 * bits
+    _butterfly(state, _hadamard_pair)
+    return state
+
+
+def reference_ancilla_columns(n, bits):
+    """Gate by gate: |0..0, 1>, H^(n+1), the bit-flip oracle, H^n on both halves."""
+    size = 1 << n
+    state = np.zeros((size << 1, bits.shape[1]), dtype=np.float64)
+    state[size] = 1.0
+    _butterfly(state, _hadamard_pair)
+    low, high = state[:size], state[size:]
+    flip = bits.astype(bool)
+    low[:], high[:] = np.where(flip, high, low), np.where(flip, low, high)
+    _butterfly(state.reshape(2, size, -1), _hadamard_pair)
+    return (low - high) * _SQRT1_2
+
+
+@pytest.mark.parametrize("n, width", [(n, width) for n in range(1, 15) for width in (1, 9)]
+                         + [(20, 1)])
+def test_statevector_bodies_match_gate_by_gate_bit_for_bit(n, width):
+    bits = _random_columns(n, width, np.random.default_rng(n * 10 + width))
+    bits[:, 0] = 0  # a constant table: exact zeros, whose signs must match too
+    assert _circuit_columns(n, bits).tobytes() == reference_circuit_columns(n, bits).tobytes()
+    assert _ancilla_columns(n, bits).tobytes() == reference_ancilla_columns(n, bits).tobytes()
+
+
+def test_ancilla_route_transforms_both_ancilla_halves(monkeypatch):
+    # after the oracle |x,1> is the negation of |x,0>; transforming it anyway
+    # keeps this route independent of the circuit route
+    shapes = []
+
+    def recording(a, pair):
+        shapes.append(a.shape)
+        _butterfly(a, pair)
+
+    monkeypatch.setattr(djsim, "_butterfly", recording)
+    _ancilla_columns(3, _random_columns(3, 5, np.random.default_rng(0)))
+    assert shapes == [(2, 8, 5)]
+
+
+def test_ancilla_route_memory_is_twice_its_state():
+    tt = random_function(18, np.random.default_rng(18))
+    tracemalloc.start()
+    try:
+        simulate_with_ancilla(tt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * (2 << 18)  # two float64 buffers of 2^(n+1) entries
 
 
 @given(truth_tables(max_n=8))
