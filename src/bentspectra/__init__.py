@@ -9,7 +9,6 @@ from .boolfn import (
     MAX_ARITY,
     AnfPolynomial,
     BitVector,
-    ShuffleSearchResult,
     TruthTable,
     dot,
     from_anf,
@@ -18,7 +17,6 @@ from .boolfn import (
     make_inner_product_bent,
     make_mm_bent,
     random_function,
-    shuffle_search_bent,
     to_anf,
 )
 from .djsim import (
@@ -43,11 +41,13 @@ from .spectra import (
 )
 from .walsh import (
     Classification,
+    ShuffleSearchResult,
     WalshSpectrum,
     classify,
     dual_bent,
     fwht,
     is_bent,
+    shuffle_search_bent,
     walsh_naive,
 )
 

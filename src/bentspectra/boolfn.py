@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import string
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -314,8 +314,7 @@ class AnfPolynomial(_FrozenTable):
         arr = _frozen_array(coefficients, n, np.uint8, "coefficients")
         if arr.max(initial=0) > 1:
             raise ValueError("coefficients must be 0 or 1")
-        masks = np.flatnonzero(arr)
-        degree = int(np.bitwise_count(masks).max()) if masks.size else 0
+        degree = int((np.bitwise_count(np.arange(1 << n, dtype=np.uint32)) * arr).max())
         self._set(n=n, coefficients=arr, degree=degree)
 
     def monomials(self) -> tuple[int, ...]:
@@ -475,37 +474,3 @@ def random_function(n: int, rng: np.random.Generator) -> TruthTable:
     """Uniformly random function: each table entry an independent fair bit."""
     n = _check_arity(n)
     return TruthTable(n, _random_columns(n, 1, rng)[:, 0])
-
-
-class ShuffleSearchResult(NamedTuple):
-    """Outcome of ``shuffle_search_bent``: table is None when nothing passed."""
-
-    table: TruthTable | None
-    iterations: int
-
-
-def shuffle_search_bent(
-    n: int, rng: np.random.Generator, max_iters: int
-) -> ShuffleSearchResult:
-    """Search for a bent function by randomly shuffling a seed table.
-
-    The seed table has Hamming weight 2^{n-1} - 2^{n/2-1}, the weight every
-    bent function of that class must have, so each shuffle draws uniformly
-    from the correct weight stratum; the complementary weight class is
-    reachable by negating the output.  Returns the first shuffled table
-    whose Walsh spectrum is flat, or (None, max_iters) if none is found.
-    """
-    n = _check_even_arity(n)
-    max_iters = int(max_iters)
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-    from .walsh import is_bent  # deferred: walsh imports this module
-
-    size = 1 << n
-    seed = np.zeros(size, dtype=np.uint8)
-    seed[: (1 << (n - 1)) - (1 << (n // 2 - 1))] = 1
-    for iteration in range(1, max_iters + 1):
-        candidate = TruthTable(n, seed[rng.permutation(size)])
-        if is_bent(candidate):
-            return ShuffleSearchResult(candidate, iteration)
-    return ShuffleSearchResult(None, max_iters)

@@ -9,7 +9,8 @@ implementations are provided: ``walsh_naive`` evaluates the double sum
 literally in O(4^n) and serves as the oracle, ``fwht`` runs the in-place
 O(n 2^n) butterfly.  They agree entry for entry on every input.
 
-Spectral facts the classifier relies on:
+Spectral facts the classifier relies on; by Parseval it reads every flag
+off W(0) and the peak |W| alone (see ``_classify_columns``):
 
 * W(0) = 2^n - 2 * weight(f); balanced functions have W(0) = 0.
 * |W(p)| = 2^n at exactly one p iff f is affine, f(x) = k.x XOR c with
@@ -23,11 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .boolfn import BitVector, TruthTable, _butterfly, _check_arity, _frozen_array, _FrozenTable
+from .boolfn import (BitVector, TruthTable, _butterfly, _check_arity, _check_even_arity,
+                     _frozen_array, _FrozenTable)
 
 #: walsh_naive materializes the 2^n x 2^n character matrix; past this the
 #: quadratic cost is no longer a usable oracle.
@@ -153,43 +155,49 @@ def fwht(tt: TruthTable) -> WalshSpectrum:
     return WalshSpectrum(tt.n, _fwht_columns(tt.bits[:, None])[:, 0])
 
 
-def _is_flat(n: int, magnitudes: np.ndarray) -> bool:
-    """True iff every |W(p)| equals 2^{n/2}: for even n, the bent spectra."""
-    return bool(np.all(magnitudes == 1 << (n // 2)))
+def _classify_columns(n: int, w: np.ndarray) -> dict[str, np.ndarray]:
+    """Per-column ``Classification`` fields of a (2^n, B) block of spectra.
+
+    Every column must obey Parseval, sum of W(p)^2 = 4^n, as a ``WalshSpectrum``
+    or ``_fwht_columns`` of 0/1 tables does; then W(0) and the peak |W| decide:
+
+    * affine iff the peak is 2^n; Parseval leaves room for one such p, so
+      k is the argmax and c the sign bit of W(k);
+    * bent iff n is even and the peak is 2^{n/2}: 2^n squares no larger
+      than 2^n sum to 4^n only if each equals 2^n, so the spectrum is flat;
+    * nonlinearity is 2^{n-1} - peak / 2.
+
+    ``affine_k`` and ``affine_c`` are -1 in the columns that are not affine.
+    """
+    size = 1 << n
+    k = np.abs(w).argmax(axis=0)
+    top = w[k, np.arange(w.shape[1])]
+    peak = np.abs(top)
+    is_affine = peak == size
+    return {
+        "is_constant": np.abs(w[0]) == size,
+        "is_balanced": w[0] == 0,
+        "is_linear": is_affine & (top > 0),
+        "is_affine": is_affine,
+        "is_bent": (peak == 1 << (n // 2)) & (n % 2 == 0),
+        "affine_k": np.where(is_affine, k, -1),
+        "affine_c": np.where(is_affine, top < 0, -1),
+        "nonlinearity": (size >> 1) - peak // 2,
+    }
 
 
 def classify(spec: WalshSpectrum) -> Classification:
     """Read constant/balanced/linear/affine/bent flags off the spectrum."""
-    n = spec.n
-    size = 1 << n
-    coeffs = spec.coeffs
-    magnitudes = np.abs(coeffs)
-    max_abs = int(magnitudes.max())
-
-    full = np.flatnonzero(magnitudes == size)
-    is_affine = full.size == 1
-    affine_k = affine_c = None
-    if is_affine:
-        k = int(full[0])
-        affine_k = BitVector(n, k)
-        affine_c = 1 if int(coeffs[k]) < 0 else 0
-
-    return Classification(
-        n=n,
-        is_constant=int(magnitudes[0]) == size,
-        is_balanced=int(coeffs[0]) == 0,
-        is_linear=is_affine and affine_c == 0,
-        is_affine=is_affine,
-        is_bent=n % 2 == 0 and _is_flat(n, magnitudes),
-        affine_k=affine_k,
-        affine_c=affine_c,
-        nonlinearity=(size >> 1) - max_abs // 2,
-    )
+    columns = _classify_columns(spec.n, spec.coeffs[:, None])
+    fields = {name: col.item() for name, col in columns.items()}
+    k, c = fields.pop("affine_k"), fields.pop("affine_c")
+    return Classification(spec.n, affine_k=None if k < 0 else BitVector(spec.n, k),
+                          affine_c=None if c < 0 else c, **fields)
 
 
 def is_bent(tt: TruthTable) -> bool:
     """True iff the Walsh spectrum of ``tt`` is flat (all |W(p)| = 2^{n/2})."""
-    return tt.n % 2 == 0 and _is_flat(tt.n, np.abs(fwht(tt).coeffs))
+    return classify(fwht(tt)).is_bent
 
 
 def dual_bent(spec: WalshSpectrum) -> TruthTable:
@@ -200,6 +208,45 @@ def dual_bent(spec: WalshSpectrum) -> TruthTable:
     """
     if spec.n % 2:
         raise ValueError(f"dual is defined for bent functions only; n = {spec.n} is odd")
-    if not _is_flat(spec.n, np.abs(spec.coeffs)):
+    if not classify(spec).is_bent:
         raise ValueError("spectrum is not flat; the function is not bent")
     return TruthTable(spec.n, (spec.coeffs < 0).astype(np.uint8))
+
+
+class ShuffleSearchResult(NamedTuple):
+    """Outcome of ``shuffle_search_bent``: table is None when nothing passed."""
+
+    table: TruthTable | None
+    iterations: int
+
+
+def shuffle_search_bent(
+    n: int, rng: np.random.Generator, max_iters: int
+) -> ShuffleSearchResult:
+    """Search for a bent function by randomly shuffling a seed table.
+
+    The seed table has Hamming weight 2^{n-1} - 2^{n/2-1}, the weight every
+    bent function of that class must have, so each shuffle draws uniformly
+    from the correct weight stratum; the complementary weight class is
+    reachable by negating the output.  Returns the first shuffled table
+    whose Walsh spectrum is flat, or (None, max_iters) if none is found.
+
+    Candidates are drawn and tested in blocks of max(1, 2^18 / 2^n), never
+    past ``max_iters``, in the order of successive ``rng.permutation``
+    calls, so the table and count depend on the seed alone.  After a hit
+    ``rng`` has advanced to the end of that block.
+    """
+    n = _check_even_arity(n)
+    max_iters = int(max_iters)
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    size = 1 << n
+    seed = np.zeros(size, dtype=np.uint8)
+    seed[: (1 << (n - 1)) - (1 << (n // 2 - 1))] = 1
+    per_block = max(1, (1 << 18) >> n)
+    for done in range(0, max_iters, per_block):
+        rows = rng.permuted(np.tile(seed, (min(per_block, max_iters - done), 1)), axis=1)
+        hits = np.flatnonzero(_classify_columns(n, _fwht_columns(rows.T.copy()))["is_bent"])
+        if hits.size:
+            return ShuffleSearchResult(TruthTable(n, rows[hits[0]]), done + int(hits[0]) + 1)
+    return ShuffleSearchResult(None, max_iters)

@@ -29,6 +29,7 @@ from bentspectra import (
     simulate_with_ancilla,
     walsh_naive,
 )
+from bentspectra.walsh import _classify_columns, _fwht_columns
 
 ROUTE_TOL = 1e-12
 CHI2_LIMIT = 37.7  # chi-square(15) at the 0.999 quantile
@@ -220,6 +221,19 @@ def test_criterion_07_census():
 
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"census took {elapsed:.1f} s"
+
+
+@criterion(7, "n=4 census through the library engine: the oracle's 896 bent, nonlinearity 6")
+def test_criterion_07_census_engine(census16):
+    bits, spectra = census16
+    oracle_bent = np.all(np.abs(spectra) == 4, axis=1)
+    start = time.perf_counter()
+    columns = _classify_columns(4, _fwht_columns(np.ascontiguousarray(bits.T)))
+    elapsed = time.perf_counter() - start
+    assert np.array_equal(columns["is_bent"], oracle_bent)
+    assert int(columns["is_bent"].sum()) == 896
+    assert np.all(columns["nonlinearity"][oracle_bent] == 6)
+    assert elapsed < 0.5, f"engine census took {elapsed * 1e3:.0f} ms"
 
 
 @criterion(8, "normalization: amplitude norms equal 1 within 1e-12 everywhere")

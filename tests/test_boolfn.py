@@ -325,6 +325,20 @@ def test_anf_round_trip_n12_randomized():
         assert from_anf(to_anf(tt)) == tt
 
 
+def test_anf_degree_is_largest_monomial():
+    rng = np.random.default_rng(13)
+    polys = [AnfPolynomial(n, np.eye(1, 1 << n, 0, dtype=np.uint8)[0] * c)
+             for n in (1, 4, 20) for c in (0, 1)]  # zero and one
+    for n in [*range(1, 13), 20]:
+        size = 1 << n
+        polys.append(AnfPolynomial(n, rng.integers(0, 2, size, dtype=np.uint8)))
+        polys.append(AnfPolynomial(n, (rng.random(size) < 4 / size).astype(np.uint8)))
+        polys.append(to_anf(random_function(n, rng)))
+    for a in polys:
+        assert a.degree == max((m.bit_count() for m in a.monomials()), default=0)
+    assert [a.degree for a in polys[:6]] == [0] * 6
+
+
 def test_anf_coefficient_round_trip():
     rng = np.random.default_rng(3)
     for _ in range(20):

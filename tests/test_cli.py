@@ -85,6 +85,13 @@ def test_gen_validation_errors(run):
     assert code == 2
 
 
+def test_gen_shuffle_bent_budget_errors(run):
+    for budget in ("5000", "0"):
+        code, out, err = run(["gen", "--kind", "shuffle-bent", "--n", "6", "--max-iters", budget])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_usage_errors_exit_1(run):
     assert run(["bogus"])[0] == 1
     assert run(["gen", "--kind", "nope", "--n", "4"])[0] == 1

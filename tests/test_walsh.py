@@ -1,6 +1,7 @@
 """Walsh transforms (naive vs butterfly), classification, and duals."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from bentspectra import (
     BitVector,
+    Classification,
     TruthTable,
     WalshSpectrum,
     classify,
@@ -20,9 +22,10 @@ from bentspectra import (
     make_inner_product_bent,
     make_mm_bent,
     random_function,
+    shuffle_search_bent,
     walsh_naive,
 )
-from bentspectra.walsh import NAIVE_MAX_N
+from bentspectra.walsh import NAIVE_MAX_N, _classify_columns, _fwht_columns
 
 
 def walsh_bruteforce(tt):
@@ -36,6 +39,45 @@ def walsh_bruteforce(tt):
             total += -1 if parity else 1
         out.append(total)
     return out
+
+
+def reference_classify(n, coeffs):
+    """Scalar classifier over one spectrum, reading every coefficient."""
+    size = 1 << n
+    magnitudes = np.abs(coeffs)
+    max_abs = int(magnitudes.max())
+
+    full = np.flatnonzero(magnitudes == size)
+    is_affine = full.size == 1
+    affine_k = affine_c = None
+    if is_affine:
+        k = int(full[0])
+        affine_k = BitVector(n, k)
+        affine_c = 1 if int(coeffs[k]) < 0 else 0
+
+    return Classification(
+        n=n,
+        is_constant=int(magnitudes[0]) == size,
+        is_balanced=int(coeffs[0]) == 0,
+        is_linear=is_affine and affine_c == 0,
+        is_affine=is_affine,
+        is_bent=n % 2 == 0 and bool(np.all(magnitudes == 1 << (n // 2))),
+        affine_k=affine_k,
+        affine_c=affine_c,
+        nonlinearity=(size >> 1) - max_abs // 2,
+    )
+
+
+def reference_shuffle_search(n, rng, max_iters):
+    """One permutation, table and spectrum per candidate, as (table, iterations)."""
+    size = 1 << n
+    seed = np.zeros(size, dtype=np.uint8)
+    seed[: (1 << (n - 1)) - (1 << (n // 2 - 1))] = 1
+    for iteration in range(1, max_iters + 1):
+        candidate = TruthTable(n, seed[rng.permutation(size)])
+        if reference_classify(n, fwht(candidate).coeffs).is_bent:
+            return candidate, iteration
+    return None, max_iters
 
 
 @st.composite
@@ -204,6 +246,53 @@ def test_classify_flag_implications_property():
         assert r.nonlinearity == (1 << (tt.n - 1)) - int(np.abs(fwht(tt).coeffs).max()) // 2
 
 
+def _assert_classify_matches_reference(tt):
+    spec = fwht(tt)
+    result, expected = classify(spec), reference_classify(tt.n, spec.coeffs)
+    assert result == expected
+    for name, value in vars(expected).items():
+        assert type(getattr(result, name)) is type(value), name
+
+
+def test_classify_matches_reference_exhaustive_small():
+    for n in (1, 2, 3):
+        for mask in range(1 << (1 << n)):
+            _assert_classify_matches_reference(TruthTable.from_int(n, mask))
+
+
+def test_classify_columns_match_reference_on_n4_census():
+    masks = np.arange(1 << 16, dtype=np.uint32)
+    bits = ((masks[None, :] >> np.arange(16, dtype=np.uint32)[:, None]) & 1).astype(np.uint8)
+    spectra = _fwht_columns(bits)
+    columns = _classify_columns(4, spectra)
+    expected = [reference_classify(4, spectra[:, j]) for j in range(1 << 16)]
+    for name, col in columns.items():
+        want = [getattr(r, name) for r in expected]
+        if name in ("affine_k", "affine_c"):
+            want = [-1 if v is None else int(v) for v in want]
+        assert col.tolist() == want, name
+    assert int(columns["is_bent"].sum()) == 896
+
+
+def test_classify_matches_reference_random_tables():
+    rng = np.random.default_rng(23)
+    for n in range(5, 13):
+        for _ in range(20):
+            _assert_classify_matches_reference(random_function(n, rng))
+
+
+def test_classify_matches_reference_on_the_zoo():
+    rng = np.random.default_rng(29)
+    zoo = [make_constant(n, c) for n in range(1, 21) for c in (0, 1)]
+    zoo += [make_affine(n, k, c) for n in range(1, 7) for k in range(1 << n) for c in (0, 1)]
+    for n in range(2, 21, 2):
+        half = n // 2
+        zoo.append(make_inner_product_bent(n))
+        zoo.append(make_mm_bent(half, rng.permutation(1 << half), random_function(half, rng)))
+    for tt in zoo:
+        _assert_classify_matches_reference(tt)
+
+
 def test_no_bent_functions_at_odd_arity():
     for n in (1, 3):
         for mask in range(1 << (1 << n)):
@@ -247,3 +336,45 @@ def test_is_bent_helper():
     assert is_bent(make_inner_product_bent(6))
     assert not is_bent(make_affine(4, 9, 0))
     assert not is_bent(make_constant(3, 0))  # odd arity short-circuits
+
+
+# ---------------------------------------------------------------------------
+# Shuffle search
+# ---------------------------------------------------------------------------
+
+SHUFFLE_BLOCK_N6 = (1 << 18) >> 6
+
+
+def test_shuffle_search_matches_reference():
+    for n in (2, 4):
+        for seed in range(10):
+            table, iterations = shuffle_search_bent(n, np.random.default_rng(seed), 100_000)
+            assert (table, iterations) == reference_shuffle_search(
+                n, np.random.default_rng(seed), 100_000
+            )
+
+
+@pytest.mark.parametrize(
+    "max_iters", [1, SHUFFLE_BLOCK_N6 - 1, SHUFFLE_BLOCK_N6, SHUFFLE_BLOCK_N6 + 1]
+)
+def test_shuffle_search_stops_at_max_iters(max_iters):
+    rng = np.random.default_rng(3)
+    assert shuffle_search_bent(6, rng, max_iters) == (None, max_iters)
+    # exactly max_iters permutations were drawn
+    expected = np.random.default_rng(3)
+    for _ in range(max_iters):
+        expected.permutation(64)
+    assert rng.integers(1 << 62) == expected.integers(1 << 62)
+
+
+def test_shuffle_search_memory_independent_of_max_iters():
+    def peak(max_iters):
+        shuffle_search_bent(6, np.random.default_rng(0), max_iters)  # warm up
+        tracemalloc.start()
+        try:
+            shuffle_search_bent(6, np.random.default_rng(0), max_iters)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8 * SHUFFLE_BLOCK_N6) <= peak(SHUFFLE_BLOCK_N6) + 64 * 1024
