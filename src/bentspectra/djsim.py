@@ -203,9 +203,15 @@ def _worst_deviation(n: int, first: int, bits: np.ndarray) -> tuple[float, str, 
     }
     for amps in (direct, *routes.values()):
         _check_normalized(amps)
-    dev = np.stack([np.abs(amps - direct) for amps in routes.values()])
-    route, p, col = np.unravel_index(int(dev.argmax()), dev.shape)
-    return float(dev[route, p, col]), list(routes)[route], first + int(col), int(p)
+    # a running maximum, replaced only when strictly larger, keeps the first
+    # maximum in (route, p, table) order
+    worst = (-1.0, "", 0, 0)
+    for route, amps in routes.items():
+        dev = np.abs(amps - direct)
+        p, col = np.unravel_index(int(dev.argmax()), dev.shape)
+        if dev[p, col] > worst[0]:
+            worst = (float(dev[p, col]), route, first + int(col), int(p))
+    return worst
 
 
 def probabilities(a: Amplitudes) -> np.ndarray:

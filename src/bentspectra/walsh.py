@@ -7,7 +7,10 @@ The Walsh coefficient at p is the signed integer
 measuring the correlation of f with the linear function x -> p.x.  Two
 implementations are provided: ``walsh_naive`` evaluates the double sum
 literally in O(4^n) and serves as the oracle, ``fwht`` runs the in-place
-O(n 2^n) butterfly.  They agree entry for entry on every input.
+O(n 2^n) butterfly.  They agree entry for entry on every input.  The
+literal sum multiplies the 2^n x 2^n character matrix by the sign column
+in float32 chunks of rows, each built from two half-size factors, so it
+never holds the whole matrix (see ``_naive_columns``).
 
 Spectral facts the classifier relies on; by Parseval it reads every flag
 off W(0) and the peak |W| alone (see ``_classify_columns``):
@@ -23,7 +26,7 @@ off W(0) and the peak |W| alone (see ``_classify_columns``):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -31,9 +34,12 @@ import numpy as np
 from .boolfn import (BitVector, TruthTable, _butterfly, _check_arity, _check_even_arity,
                      _frozen_array, _FrozenTable)
 
-#: walsh_naive materializes the 2^n x 2^n character matrix; past this the
-#: quadratic cost is no longer a usable oracle.
+#: walsh_naive takes O(4^n) time; past this the quadratic cost is no longer a
+#: usable oracle.  Its memory is O(2^n) per table plus one chunk of at most 4 MiB.
 NAIVE_MAX_N = 12
+
+#: Entries in one float32 chunk of character-matrix rows (4 MiB).
+_CHUNK_ENTRIES = 1 << 20
 
 
 def _check_spectra(n: int, w: np.ndarray) -> None:
@@ -100,30 +106,41 @@ class Classification:
         }
 
 
-@lru_cache(maxsize=4)
-def _character_matrix(n: int) -> np.ndarray:
-    """(-1)^(p.x) as an int8 matrix with rows p and columns x."""
-    idx = np.arange(1 << n, dtype=np.uint16)  # n <= NAIVE_MAX_N fits 16 bits
-    # in place after the one temporary, so no freed 4^n-byte buffer stays in the heap
-    chi = np.bitwise_count(idx[:, None] & idx[None, :]).view(np.int8)
-    chi &= 1
-    chi *= -2
-    chi += 1
+@cache
+def _character_matrix(m: int) -> np.ndarray:
+    """(-1)^(p.x) for m-bit p (rows) and x (columns), as a read-only float32 matrix.
+
+    ``_naive_columns`` uses it only as a half-size factor, m <= NAIVE_MAX_N / 2,
+    so the largest is 64 x 64.
+    """
+    idx = np.arange(1 << m)
+    chi = 1 - 2 * (np.bitwise_count(idx[:, None] & idx[None, :]) & 1).astype(np.float32)
     chi.setflags(write=False)
     return chi
 
 
 def _naive_columns(n: int, bits: np.ndarray) -> np.ndarray:
-    """The double sum W(p) of each (2^n, B) table column, as exact float64 integers."""
+    """The double sum W(p) of each (2^n, B) table column, as exact float64 integers.
+
+    Splitting p and x into their high n - n//2 and low n//2 bits,
+    (-1)^(p.x) = (-1)^(p_hi.x_hi) * (-1)^(p_lo.x_lo), so each chunk of rows of the
+    character matrix is one broadcast product of the two half-size factors.  Each
+    chunk (at most 2^20 entries) multiplies the float32 sign columns.  That is
+    exact: every entry and partial sum is an integer of magnitude at most
+    2^n <= 2^12 < 2^24, which float32 holds in any summation order.
+    """
     if n > NAIVE_MAX_N:
         raise ValueError(f"the literal sum supports n <= {NAIVE_MAX_N}, got {n}")
-    chi = _character_matrix(n)
-    signs = 1 - 2 * bits.astype(np.float64)
+    low = n // 2
+    chi_hi, chi_lo = _character_matrix(n - low), _character_matrix(low)
+    signs = 1 - 2 * bits.astype(np.float32)
     out = np.empty(signs.shape)
-    # each float64 chunk of chi (at most 32 MiB) is made once per block
-    step = max(1, (1 << 22) >> n)
-    for lo in range(0, 1 << n, step):
-        out[lo : lo + step] = chi[lo : lo + step].astype(np.float64) @ signs
+    step = min(len(chi_hi), max(1, _CHUNK_ENTRIES >> (n + low)))  # p_hi rows per chunk
+    chunk = np.empty((step, 1 << low, len(chi_hi), 1 << low), dtype=np.float32)
+    rows = chunk.reshape(step << low, 1 << n)
+    for hi in range(0, len(chi_hi), step):
+        np.multiply(chi_hi[hi : hi + step, None, :, None], chi_lo[None, :, None, :], out=chunk)
+        out[hi << low : (hi + step) << low] = rows @ signs
     return out
 
 
@@ -131,8 +148,10 @@ def walsh_naive(tt: TruthTable) -> WalshSpectrum:
     """Literal evaluation of the defining double sum, O(4^n).
 
     Kept deliberately free of the butterfly so it can serve as an
-    independent oracle for ``fwht``.  Limited to n <= NAIVE_MAX_N because
-    the full character matrix is materialized.
+    independent oracle for ``fwht``.  The character matrix is built and
+    multiplied in 4 MiB float32 chunks of rows, exact because every partial
+    sum is an integer below 2^24 in magnitude.  Limited to n <= NAIVE_MAX_N
+    by its O(4^n) time, not its memory.
     """
     return WalshSpectrum(tt.n, _naive_columns(tt.n, tt.bits[:, None])[:, 0])
 

@@ -25,7 +25,9 @@ from bentspectra import (
     shuffle_search_bent,
     walsh_naive,
 )
-from bentspectra.walsh import NAIVE_MAX_N, _classify_columns, _fwht_columns
+from bentspectra import cli, djsim, walsh
+from bentspectra.walsh import (NAIVE_MAX_N, _character_matrix, _classify_columns, _fwht_columns,
+                               _naive_columns)
 
 
 def walsh_bruteforce(tt):
@@ -66,6 +68,21 @@ def reference_classify(n, coeffs):
         affine_c=affine_c,
         nonlinearity=(size >> 1) - max_abs // 2,
     )
+
+
+def reference_naive_columns(n, bits):
+    """The literal sum through the whole int8 character matrix, cast per float64 chunk."""
+    idx = np.arange(1 << n, dtype=np.uint16)
+    chi = np.bitwise_count(idx[:, None] & idx[None, :]).view(np.int8)
+    chi &= 1
+    chi *= -2
+    chi += 1
+    signs = 1 - 2 * bits.astype(np.float64)
+    out = np.empty(signs.shape)
+    step = max(1, (1 << 22) >> n)
+    for lo in range(0, 1 << n, step):
+        out[lo : lo + step] = chi[lo : lo + step].astype(np.float64) @ signs
+    return out
 
 
 def reference_shuffle_search(n, rng, max_iters):
@@ -135,6 +152,82 @@ def test_known_spectra():
 def test_naive_arity_cap():
     with pytest.raises(ValueError):
         walsh_naive(make_constant(NAIVE_MAX_N + 1, 0))
+
+
+def _literal_sum_columns(n, count, seed):
+    """Random table columns, the first ones constant and affine (W of 0 and +-2^n)."""
+    rng = np.random.default_rng(seed)
+    special = [make_constant(n, 0), make_constant(n, 1), make_affine(n, (1 << n) - 1, 1)]
+    bits = rng.integers(0, 2, (1 << n, count), dtype=np.uint8)
+    for col, tt in enumerate(special[:count]):
+        bits[:, col] = tt.bits
+    return bits
+
+
+@pytest.mark.parametrize("count", [1, 3, 64])
+@pytest.mark.parametrize("n", range(1, NAIVE_MAX_N + 1))
+def test_naive_columns_bit_identical_to_reference(n, count):
+    bits = _literal_sum_columns(n, count, n)
+    got = _naive_columns(n, bits)
+    assert got.dtype == np.float64 and got.shape == bits.shape
+    assert got.tobytes() == reference_naive_columns(n, bits).tobytes()
+
+
+@pytest.mark.parametrize("m", range(NAIVE_MAX_N // 2 + 1))
+def test_character_factor_entries(m):
+    size = 1 << m
+    expected = [[-1 if (p & x).bit_count() & 1 else 1 for x in range(size)] for p in range(size)]
+    chi = _character_matrix(m)
+    assert chi.dtype == np.float32 and not chi.flags.writeable
+    assert chi.tolist() == expected
+
+
+def test_naive_memory_holds_no_quadratic_buffer():
+    tt = random_function(NAIVE_MAX_N, np.random.default_rng(0))
+    walsh_naive(make_constant(2, 0))  # numpy and the module are warm, the factors are not
+    _character_matrix.cache_clear()
+    tracemalloc.start()
+    try:
+        walsh_naive(tt)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one 4 MiB float32 chunk of rows (about 4.1 MiB measured); the whole int8
+    # matrix plus a float64 chunk of it would be at least 48 MiB
+    assert peak < 8 << 20, peak
+    assert current < 1 << 20, current  # only the 64 x 64 factors stay cached
+
+
+def _spoiled_butterfly(real):
+    """The shared butterfly, then its largest (p, table) entry negated.
+
+    The ancilla route's (2, 2^n, B) state is negated in both halves alike, so
+    every route keeps the range, parity, Parseval and normalization checks
+    satisfied and only the comparison with the literal sum can catch it.
+    """
+
+    def butterfly(a, pair):
+        real(a, pair)
+        mags = np.abs(a).reshape(-1, *a.shape[-2:]).max(axis=0)
+        p, col = np.unravel_index(int(mags.argmax()), mags.shape)
+        a[..., p, col] *= -1
+
+    return butterfly
+
+
+def test_literal_sum_independent_of_the_butterfly(monkeypatch, capsys):
+    n = 10
+    bits = _literal_sum_columns(n, 4, 0)
+    expected = reference_naive_columns(n, bits)
+    spoiled = _spoiled_butterfly(walsh._butterfly)
+    monkeypatch.setattr(walsh, "_butterfly", spoiled)
+    monkeypatch.setattr(djsim, "_butterfly", spoiled)
+    assert not np.array_equal(_fwht_columns(bits), expected)  # the spoil takes effect
+    assert _naive_columns(n, bits).tobytes() == expected.tobytes()
+    assert cli.main(["verify", "--random", "4", "--n", str(n)]) == 3
+    out, err = capsys.readouterr()
+    assert out.startswith(f"verified 4 table(s) at n={n}: ") and out.endswith(" (FAIL)\n")
+    assert err.count("\n") == 1 and err.startswith("error: amplitude routes disagree")
 
 
 def test_spectrum_validation():
