@@ -8,9 +8,12 @@ one was used, and the spectral classification).  It is built from a
 is a pure function of its W value; ``read_report`` rejects files whose
 columns disagree with their W.  The exporters use that: they format each
 distinct W once (a bent function has two) and index the formatted text by
-outcome.  All exporters are deterministic: identical inputs produce
-identical bytes.  Floating-point columns are printed with up to 17
-significant digits, enough to round-trip float64 losslessly.
+outcome.  The CSV reader uses it too: it rebuilds the report from the W
+column alone and accepts the file when the report's export is the file's
+text; only a text that differs from it is parsed field by field.  All
+exporters are deterministic: identical inputs produce identical bytes.
+Floating-point columns are printed with up to 17 significant digits, enough
+to round-trip float64 losslessly.
 """
 
 from __future__ import annotations
@@ -77,11 +80,21 @@ def _fmt(x: float) -> str:
 
 
 def _distinct_rows(report: SpectrumReport) -> tuple[list, np.ndarray]:
-    """(w, amplitude, probability) per distinct W, and each outcome's index."""
-    _, first, inv = np.unique(report.walsh, return_index=True, return_inverse=True)
-    rows = zip(report.walsh[first].tolist(), report.amplitudes[first].tolist(),
-               report.probabilities[first].tolist())
-    return list(rows), inv
+    """(w, amplitude, probability) per distinct W, in increasing W, and each outcome's index.
+
+    W is even with |W| <= 2^n, so (W + 2^n) / 2 indexes a (2^n + 1)-entry
+    presence table; its running count gives each outcome's index without a sort.
+    The amplitude and probability are the report's own operations, w / 2^n and
+    its square, so they equal the report's columns bit for bit.
+    """
+    size = 1 << report.n
+    keys = (report.walsh + size) >> 1
+    present = np.zeros(size + 1, dtype=bool)
+    present[keys] = True
+    w = 2 * np.flatnonzero(present) - size
+    a = w / float(size)
+    rows = zip(w.tolist(), a.tolist(), (a * a).tolist())
+    return list(rows), (np.cumsum(present) - 1)[keys]
 
 
 def export_csv(report: SpectrumReport) -> str:
@@ -182,17 +195,55 @@ def _read_csv(lines: list[str]) -> SpectrumReport:
     )
 
 
+def _canonical_csv(text: str) -> SpectrumReport | None:
+    """The report whose ``export_csv``, stripped, is ``text``; None for any other text.
+
+    Reads only the walsh field of each row, digit by digit from the bytes, and
+    rebuilds the report from it.  Acceptance rests on the re-export equalling
+    ``text``, so a misread W can only send the text on to ``_read_csv``.
+    """
+    if not (text.isascii() and text.startswith(_CSV_HEADER + "\n")):
+        return None
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    commas = np.flatnonzero(buf == ord(","))[3:]  # past the header's three
+    rows = commas.size // 3
+    if commas.size % 3 or rows < 2 or rows & (rows - 1):
+        return None
+    start, end = commas[0::3] + 1, commas[1::3]
+    negative = buf[start] == ord("-")
+    width = end - start - negative
+    if width.min() < 1 or width.max() > 8:  # |W| <= 2^24; 10**k stays in int64
+        return None
+    w = np.zeros(rows, dtype=np.int64)
+    for k in range(int(width.max())):
+        digit = buf[end - 1 - k].astype(np.int64) - ord("0")
+        w += np.where(width > k, digit, 0) * 10**k
+    try:
+        report = SpectrumReport(WalshSpectrum(rows.bit_length() - 1,
+                                              np.where(negative, -w, w)))
+    except ValueError:
+        return None
+    out = export_csv(report)
+    return report if len(out) == len(text) + 1 and out.startswith(text) else None
+
+
 def read_report(text: str) -> SpectrumReport:
     """Parse a report previously exported as CSV or JSON.
 
-    Malformed or self-contradicting input raises ``ValueError``.
+    A CSV is first rebuilt from its walsh column alone and accepted when the
+    rebuilt report's export is the text itself.  Only a text that differs
+    from that (by line ends, blank lines or number spellings, say) is parsed
+    field by field, which reads an exported text back as the same report, so
+    the result and any error do not depend on the route.  Malformed or
+    self-contradicting input raises ``ValueError``.
     """
     text = text.strip()
     if not text:
         raise ValueError("empty report")
     if text.startswith("{"):
         return _read_json(json.loads(text))
-    return _read_csv(text.splitlines())
+    report = _canonical_csv(text)
+    return _read_csv(text.splitlines()) if report is None else report
 
 
 def _indexed_csv(name: str, values: list) -> str:

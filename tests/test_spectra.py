@@ -1,6 +1,7 @@
 """Report exports (CSV/JSON), parsing round trips, and bar rendering."""
 
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
@@ -27,6 +28,7 @@ from bentspectra import (
     render_bars,
     sample_measurements,
 )
+from bentspectra import spectra
 from bentspectra.spectra import (
     ASCII_MAX_BARS,
     export_histogram_csv,
@@ -462,6 +464,12 @@ def test_writers_match_per_row_reference(tt, seed, generator):
     make_affine(9, 0x155, 1),
     make_constant(7, 1),
     TruthTable(1, [0, 1]),
+    # W = +-2^n, the two ends of the exporters' distinct-W table, at n = 1 and beyond
+    make_constant(1, 0),
+    make_constant(1, 1),
+    TruthTable(1, [1, 0]),
+    make_constant(12, 0),
+    make_affine(12, 0xABC, 1),
 ])
 def test_writers_match_per_row_reference_fixed(tt):
     _assert_writers_match_reference(make_report(tt))
@@ -481,3 +489,153 @@ def test_histogram_writers_match_per_row_reference(tt, shots, seed):
                                np.random.default_rng(seed))
     assert export_histogram_csv(hist) == reference_indexed_csv("count", hist.counts)
     assert json.loads(export_histogram_json(hist))["counts"] == [int(c) for c in hist.counts]
+
+
+# ---------------------------------------------------------------------------
+# The canonical CSV check against the field-by-field reader
+# ---------------------------------------------------------------------------
+
+
+def reference_read_csv(text):
+    """``read_report`` on a CSV, parsing every field of every row."""
+    lines = text.strip().splitlines()
+    if lines[0] != "p,walsh,amplitude,probability":
+        raise ValueError(f"unexpected report header: {lines[0]!r}")
+    rows = list(filter(None, lines[1:]))
+    count = len(rows)
+    if count < 2 or count & (count - 1):
+        raise ValueError(f"report must have a power-of-two row count, got {count}")
+    commas = np.fromiter(map(str.count, rows, [","] * count), dtype=np.int64, count=count)
+    bad = np.flatnonzero(commas != 3)
+    if bad.size:
+        row = int(bad[0])
+        raise ValueError(f"report row {row} has {commas[row] + 1} fields, expected 4")
+    flat = ",".join(rows).split(",")
+
+    def column(fields, parse):
+        values = {s: parse(s) for s in set(fields)}
+        return [values[s] for s in fields]
+
+    p_column = list(map(int, flat[0::4]))
+    if not np.array_equal(np.asarray(p_column), np.arange(len(p_column))):
+        raise ValueError("report rows must cover p = 0 .. 2^n - 1 in order")
+    walsh, amplitudes, probs = (column(flat[1::4], int), column(flat[2::4], float),
+                                column(flat[3::4], float))
+    report = SpectrumReport(WalshSpectrum(count.bit_length() - 1, walsh))
+    if not np.array_equal(amplitudes, report.amplitudes):
+        raise ValueError("amplitude column must equal walsh / 2^n")
+    if not np.array_equal(probs, report.probabilities):
+        raise ValueError("probability column must equal amplitude^2")
+    return report
+
+
+def _assert_reads_like_reference(text):
+    try:
+        want = reference_read_csv(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            read_report(text)
+        assert str(info.value) == str(exc)
+        return
+    got = read_report(text)
+    assert got == want and got.classification == want.classification
+    assert np.array_equal(got.amplitudes, want.amplitudes)
+    assert np.array_equal(got.probabilities, want.probabilities)
+
+
+def _exported_tables(n, rng):
+    yield random_function(n, rng)
+    yield make_constant(n, 0)
+    yield make_constant(n, 1)
+    yield make_affine(n, int(rng.integers(1 << n)), 1)
+    if n % 2 == 0:
+        yield make_inner_product_bent(n)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_csv_reader_matches_reference_on_exports_and_layouts(n):
+    for tt in _exported_tables(n, np.random.default_rng(n)):
+        text = export_csv(make_report(tt))
+        lines = text.splitlines()
+        for variant in (text, "\r\n".join(lines), "\n".join(lines[:2] + [""] + lines[2:]),
+                        f" \n\t{text}  \n", text + "\u00a0"):
+            _assert_reads_like_reference(variant)
+
+
+def _edited(lines, row, field, value):
+    """The lines with one field of data row ``row`` replaced."""
+    fields = lines[row + 1].split(",")
+    fields[field] = value
+    return "\n".join(lines[:row + 1] + [",".join(fields)] + lines[row + 2:])
+
+
+_BENT4 = export_csv(make_report(make_inner_product_bent(4))).splitlines()  # W = +-4
+_RANDOM5 = export_csv(make_report(random_function(5, np.random.default_rng(2)))).splitlines()
+
+
+@pytest.mark.parametrize("text", [
+    _report_texts([2, 2, 2, -2], [0.5, 0.5, 0.5, -0.5], [0.25] * 4)[0],
+    _report_texts([4, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0])[0],
+    _report_texts([4, 0, 0, 0], [1, 0, 0, 0], [0.5, 0, 0, 0])[0],
+    _report_texts([4, 0, 0, 2], [1, 0, 0, 0.5], [1, 0, 0, 0.25])[0],
+    _report_texts([2, 2, 2, -2], [0.5, 0.5, 0.5, 0.5], [0.25] * 4)[0],
+    _edited(_BENT4, 3, 2, "2.5e-1" if _BENT4[4].split(",")[2] == "0.25" else "-2.5e-1"),
+    _edited(_BENT4, 3, 3, "6.25e-2"),
+    _edited(_BENT4, 3, 1, " " + _BENT4[4].split(",")[1] + " "),
+    _edited(_BENT4, 0, 1, "+4"),
+    _edited(_BENT4, 0, 1, "04"),
+    _edited(_BENT4, 0, 1, "--4"),
+    _edited(_BENT4, 0, 1, "4a"),
+    _edited(_BENT4, 0, 1, ""),
+    _edited(_BENT4, 0, 1, "4.0"),
+    _edited(_BENT4, 3, 0, "\uff13"),  # fullwidth 3
+    _edited(_BENT4, 10, 0, "1_0"),
+    _edited(_BENT4, 5, 0, "6"),
+    _edited(_BENT4, 5, 3, repr(float(np.nextafter(0.0625, 1)))),
+    _edited(_BENT4, 5, 2, str(-float(_BENT4[6].split(",")[2]))),
+    _edited(_BENT4, 5, 1, "99999999999"),
+    _edited(_BENT4, 5, 1, str(2**32 + 4)),
+    _edited(_BENT4, 5, 1, "4\u00e9"),
+    _edited(_RANDOM5, 7, 1, "-0"),
+    _edited(_RANDOM5, 7, 3, _RANDOM5[8].split(",")[3] + "0"),
+    "\n".join(_BENT4[:3] + ["2,-4,-0.25"] + _BENT4[4:]),
+    "\n".join(_BENT4[:3] + ["2,-4,-0.25,0.0625,1"] + _BENT4[4:]),
+    "\n".join(_BENT4[:3] + ["2"] + _BENT4[4:]),
+    "\n".join(_BENT4[:3] + ["2,4,0.25", "0.0625,3,4,0.25,0.0625"] + _BENT4[5:]),
+    "\n".join(_BENT4[:1] + _BENT4[2:] + _BENT4[1:2]),  # p = 0 moved to the end
+    "\n".join(["P" + _BENT4[0][1:]] + _BENT4[1:]),
+    _BENT4[0],
+    "\n".join(_BENT4[:2]),
+    "\n".join(_BENT4[:4]),
+    "\n".join(_BENT4[:3]),
+])
+def test_csv_reader_matches_reference_on_edited_texts(text):
+    _assert_reads_like_reference(text)
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 16])
+def test_exported_csv_is_read_without_the_field_parse(n, monkeypatch):
+    def field_parse(lines):
+        raise AssertionError("an unmodified export reached the field-by-field reader")
+
+    monkeypatch.setattr(spectra, "_read_csv", field_parse)
+    rng = np.random.default_rng(100 + n)
+    tables = list(_exported_tables(n, rng)) if n < 16 else [
+        random_function(n, rng), make_inner_product_bent(n)]
+    for tt in tables:
+        report = make_report(tt)
+        assert read_report(export_csv(report)) == report
+
+
+def test_csv_read_memory_at_n16():
+    text = export_csv(make_report(random_function(16, np.random.default_rng(5))))
+    read_report(text)  # warm
+    tracemalloc.start()
+    try:
+        read_report(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 21 MiB: the text's bytes, one re-export and the numpy columns; parsing
+    # every field as a Python string and number took 31 MiB
+    assert peak <= 28 << 20, peak
