@@ -195,9 +195,9 @@ class TruthTable(_FrozenTable):
     def from_string(cls, text: str, n: int | None = None) -> "TruthTable":
         """Parse the standard text format (binary, hex, or JSON object).
 
-        Without ``n`` a string of 0/1 characters with power-of-two length is
-        read as binary; anything else that is valid hex of a power-of-two
-        bit count is read as hex.  With ``n`` the length decides the format.
+        Without ``n`` it is inferred first: 0/1 characters of power-of-two
+        length at least 2 are binary, other valid hex of a power-of-two bit
+        count is hex.  Then the length decides the format against 2^n.
         """
         text = text.strip()
         if not text:
@@ -209,41 +209,34 @@ class TruthTable(_FrozenTable):
         is_binary = set(text) <= {"0", "1"}
         is_hex = set(text) <= _HEX_DIGITS
 
-        if n is not None:
-            n = _check_arity(n)
-            size = 1 << n
-            if length == size and is_binary:
-                return cls(n, _bits_from_binary(text))
-            if length * 4 == size and is_hex:
-                return cls(n, _bits_from_hex(text, size))
-            raise ValueError(
-                f"string of length {length} is neither a binary (length {size}) "
-                f"nor a hex (length {size // 4}) table for n = {n}"
-            )
-
-        if is_binary and length >= 2 and length & (length - 1) == 0:
-            n = length.bit_length() - 1
-            _check_arity(n)
+        if n is None:  # binary if it can be (0/1 is also hex), else hex
+            bits = length if is_binary and length >= 2 else 4 * length
+            if not is_hex or bits & (bits - 1):
+                raise ValueError(f"malformed truth-table string: {text[:32]!r}...")
+            n = bits.bit_length() - 1
+        n = _check_arity(n)
+        size = 1 << n
+        if length == size and is_binary:
             return cls(n, _bits_from_binary(text))
-        if is_hex and (length * 4) & (length * 4 - 1) == 0:
-            n = (length * 4).bit_length() - 1
-            _check_arity(n)
-            return cls(n, _bits_from_hex(text, 1 << n))
-        raise ValueError(f"malformed truth-table string: {text[:32]!r}...")
+        if length * 4 == size and is_hex:
+            return cls(n, _bits_from_hex(text, size))
+        raise ValueError(f"string of length {length} is neither a binary (length {size}) "
+                         f"nor a hex (length {size // 4}) table for n = {n}")
 
     @classmethod
     def from_json(cls, text: str, n: int | None = None) -> "TruthTable":
-        """Parse the JSON form {"n": <int>, "tt": "<string>"}."""
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed truth-table JSON: {exc}") from exc
+        """Parse {"n": <int>, "tt": "<binary or hex string>"}; any other JSON raises ValueError."""
+        obj = _load_json(text, "truth-table")
         if not isinstance(obj, dict) or "n" not in obj or "tt" not in obj:
             raise ValueError('truth-table JSON must have keys "n" and "tt"')
-        jn = int(obj["n"])
+        jn, tt = obj["n"], obj["tt"]
+        if type(jn) is not int:
+            raise ValueError(f"truth-table JSON needs an integer n, got {jn!r}")
         if n is not None and n != jn:
             raise ValueError(f"requested n = {n} but JSON claims n = {jn}")
-        return cls.from_string(str(obj["tt"]), n=jn)
+        if type(tt) is not str:
+            raise ValueError(f"truth-table JSON needs a string tt, got {tt!r}")
+        return cls.from_string(tt, n=jn)
 
     # -- queries ------------------------------------------------------------
 
@@ -287,6 +280,14 @@ class TruthTable(_FrozenTable):
         if len(tt) > 32:
             tt = tt[:32] + "..."
         return f"TruthTable(n={self.n}, tt={tt!r})"
+
+
+def _load_json(text: str, what: str):
+    """``json.loads`` that raises ``ValueError`` on every decode failure, deep nesting included."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"malformed {what} JSON: {exc}") from exc
 
 
 def _bits_from_binary(text: str) -> np.ndarray:

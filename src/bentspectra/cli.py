@@ -261,6 +261,8 @@ _VERIFY_BLOCK_ENTRIES = 1 << 18
 def _cmd_verify(args, cap: int) -> int:
     cap = min(cap, walsh.NAIVE_MAX_N)  # the literal-sum route bounds the arity
     if args.random is not None:
+        if args.tt is not None or args.infile:
+            raise ValueError("give at most one of --random, --tt and --in")
         if args.random < 1:
             raise ValueError(f"--random needs a positive count, got {args.random}")
         if args.n is None:

@@ -24,7 +24,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .boolfn import TruthTable, _check_arity, _Frozen
+from .boolfn import TruthTable, _check_arity, _Frozen, _load_json
 from .walsh import WalshSpectrum, classify, fwht
 
 ASCII_MAX_BARS = 1 << 8
@@ -128,8 +128,8 @@ def export_json(report: SpectrumReport) -> str:
 
 
 def _parse_column(fields: list[str], parse) -> list:
-    """Parse each distinct string of a column once."""
-    values = {s: parse(s) for s in set(fields)}
+    """Parse each distinct string of a column once, in first-seen order."""
+    values = {s: parse(s) for s in dict.fromkeys(fields)}
     return [values[s] for s in fields]
 
 
@@ -164,10 +164,12 @@ def _read_json(obj) -> SpectrumReport:
                                    ("i", "if", "if")):
         if np.asarray(column).dtype.kind not in kinds:
             raise ValueError(f"JSON report {name} column holds non-numbers")
-    seed = obj.get("seed")
+    seed, generator = obj.get("seed"), obj.get("generator", "")
     if seed is not None and type(seed) is not int:
         raise ValueError(f"JSON report seed must be an integer, got {seed!r}")
-    report = _checked_report(n, *columns[1:], str(obj.get("generator", "")), seed)
+    if type(generator) is not str:
+        raise ValueError(f"JSON report generator must be a string, got {generator!r}")
+    report = _checked_report(n, *columns[1:], generator, seed)
     if obj.get("classification") != report.classification.as_dict():
         raise ValueError("JSON report classification is missing or contradicts its walsh column")
     return report
@@ -231,17 +233,17 @@ def read_report(text: str) -> SpectrumReport:
     """Parse a report previously exported as CSV or JSON.
 
     A CSV is first rebuilt from its walsh column alone and accepted when the
-    rebuilt report's export is the text itself.  Only a text that differs
-    from that (by line ends, blank lines or number spellings, say) is parsed
-    field by field, which reads an exported text back as the same report, so
-    the result and any error do not depend on the route.  Malformed or
+    rebuilt report's export is the text itself; any other text (other line
+    ends or number spellings, say) is parsed field by field, to the same
+    report or the same error.  In JSON, n and any seed must be integers and
+    any generator a string.  Malformed input, deep JSON nesting included, or
     self-contradicting input raises ``ValueError``.
     """
     text = text.strip()
     if not text:
         raise ValueError("empty report")
     if text.startswith("{"):
-        return _read_json(json.loads(text))
+        return _read_json(_load_json(text, "report"))
     report = _canonical_csv(text)
     return _read_csv(text.splitlines()) if report is None else report
 

@@ -25,7 +25,7 @@ off W(0) and the peak |W| alone (see ``_classify_columns``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
 from typing import NamedTuple, Sequence
 
@@ -93,17 +93,11 @@ class Classification:
     nonlinearity: int
 
     def as_dict(self) -> dict:
-        """JSON-friendly form used by the exporters and the CLI."""
-        return {
-            "is_constant": self.is_constant,
-            "is_balanced": self.is_balanced,
-            "is_linear": self.is_linear,
-            "is_affine": self.is_affine,
-            "is_bent": self.is_bent,
-            "affine_k": None if self.affine_k is None else self.affine_k.value,
-            "affine_c": self.affine_c,
-            "nonlinearity": self.nonlinearity,
-        }
+        """JSON-friendly form used by the exporters and the CLI: every field but n."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)[1:]}
+        if self.affine_k is not None:
+            d["affine_k"] = self.affine_k.value
+        return d
 
 
 @cache
@@ -208,10 +202,10 @@ def _classify_columns(n: int, w: np.ndarray) -> dict[str, np.ndarray]:
 def classify(spec: WalshSpectrum) -> Classification:
     """Read constant/balanced/linear/affine/bent flags off the spectrum."""
     columns = _classify_columns(spec.n, spec.coeffs[:, None])
-    fields = {name: col.item() for name, col in columns.items()}
-    k, c = fields.pop("affine_k"), fields.pop("affine_c")
+    flags = {name: col.item() for name, col in columns.items()}
+    k, c = flags.pop("affine_k"), flags.pop("affine_c")
     return Classification(spec.n, affine_k=None if k < 0 else BitVector(spec.n, k),
-                          affine_c=None if c < 0 else c, **fields)
+                          affine_c=None if c < 0 else c, **flags)
 
 
 def is_bent(tt: TruthTable) -> bool:

@@ -22,7 +22,9 @@ from bentspectra import (
     shuffle_search_bent,
     to_anf,
 )
-from bentspectra.boolfn import MAX_ARITY, _SCRATCH, _butterfly, _random_columns, _xor_pair
+from bentspectra.boolfn import (MAX_ARITY, _HEX_DIGITS, _SCRATCH, _bits_from_binary,
+                                 _bits_from_hex, _butterfly, _check_arity, _random_columns,
+                                 _xor_pair)
 from bentspectra.djsim import _hadamard_pair
 from bentspectra.walsh import _sum_diff
 
@@ -505,3 +507,108 @@ def test_text_round_trip_property(tt):
     assert TruthTable.from_string(tt.to_binary()) == tt
     if tt.n >= 2:
         assert TruthTable.from_string(tt.to_hex(), n=tt.n) == tt
+
+
+def reference_from_string(text, n=None):
+    """``TruthTable.from_string`` with one binary and one hex branch per case of n."""
+    text = text.strip()
+    if not text:
+        raise ValueError("empty truth-table string")
+    if text.startswith("{"):
+        return TruthTable.from_json(text, n=n)
+    length = len(text)
+    is_binary = set(text) <= {"0", "1"}
+    is_hex = set(text) <= _HEX_DIGITS
+    if n is not None:
+        n = _check_arity(n)
+        size = 1 << n
+        if length == size and is_binary:
+            return TruthTable(n, _bits_from_binary(text))
+        if length * 4 == size and is_hex:
+            return TruthTable(n, _bits_from_hex(text, size))
+        raise ValueError(
+            f"string of length {length} is neither a binary (length {size}) "
+            f"nor a hex (length {size // 4}) table for n = {n}"
+        )
+    if is_binary and length >= 2 and length & (length - 1) == 0:
+        n = length.bit_length() - 1
+        _check_arity(n)
+        return TruthTable(n, _bits_from_binary(text))
+    if is_hex and (length * 4) & (length * 4 - 1) == 0:
+        n = (length * 4).bit_length() - 1
+        _check_arity(n)
+        return TruthTable(n, _bits_from_hex(text, 1 << n))
+    raise ValueError(f"malformed truth-table string: {text[:32]!r}...")
+
+
+def _assert_parses_like_reference(text, n):
+    try:
+        want = reference_from_string(text, n)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            TruthTable.from_string(text, n)
+        assert str(info.value) == str(exc)
+        return
+    assert TruthTable.from_string(text, n) == want
+
+
+@given(
+    st.one_of(
+        st.text(alphabet="01", min_size=1, max_size=64),
+        st.text(alphabet="0123456789abcdefABCDEF", min_size=1, max_size=64),
+        st.text(alphabet="01fFgx {}\t\n", min_size=1, max_size=64),
+        st.text(min_size=1, max_size=64),
+    ),
+    st.one_of(st.none(), st.integers(1, 8)),
+)
+@settings(max_examples=2000, deadline=None)
+def test_from_string_matches_two_branch_reference(text, n):
+    _assert_parses_like_reference(text, n)
+
+
+@pytest.mark.parametrize("text, n", [
+    ("0" * (1 << (MAX_ARITY + 1)), None),  # binary of 2^25 entries
+    ("f" * (1 << (MAX_ARITY - 1)), None),  # hex of 2^25 bits
+    ("0" * 4, 0), ("0" * 4, MAX_ARITY + 1), (" 0110\n", None), ("1", None), ("01", 1),
+], ids=["binary-2^25", "hex-2^25", "n-0", "n-25", "padded", "one-hex-digit", "n-1"])
+def test_from_string_matches_reference_at_the_arity_limits(text, n):
+    _assert_parses_like_reference(text, n)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"n": null, "tt": "0110"}', "integer n, got None"),
+    ('{"n": [2], "tt": "0110"}', r"integer n, got \[2\]"),
+    ('{"n": 1e400, "tt": "0110"}', "integer n, got inf"),
+    ('{"n": 2.9, "tt": "0110"}', "integer n, got 2.9"),
+    ('{"n": 2.0, "tt": "0110"}', "integer n, got 2.0"),
+    ('{"n": true, "tt": "01"}', "integer n, got True"),
+    ('{"n": "2", "tt": "0110"}', "integer n, got '2'"),
+    ('{"n": 2, "tt": 6}', "string tt, got 6"),
+    ('{"n": 2, "tt": null}', "string tt, got None"),
+    ('{"n": 2, "tt": ["0110"]}', "string tt"),
+])
+def test_json_table_needs_integer_n_and_string_tt(text, message):
+    with pytest.raises(ValueError, match=message):
+        TruthTable.from_json(text)
+    with pytest.raises(ValueError, match=message):
+        TruthTable.from_string(text)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,
+    '{"n": 2, "tt": ' + "[" * 100_000,
+    '{"n": 2, "tt": "0110", "x": ' + "[" * 100_000 + "]" * 100_000 + "}",
+], ids=["top-level", "unclosed-tt", "closed-extra-key"])
+def test_deeply_nested_json_table_is_a_value_error(text):
+    with pytest.raises(ValueError, match="^malformed truth-table JSON: "):
+        TruthTable.from_json(text)
+    if text.startswith("{"):
+        with pytest.raises(ValueError, match="^malformed truth-table JSON: "):
+            TruthTable.from_string(text)
+
+
+@pytest.mark.parametrize("text", ['{"n": 2', '{"n": ' + "1" * 5000 + ', "tt": "0110"}'],
+                         ids=["unclosed", "int-past-the-digit-limit"])
+def test_undecodable_json_table_names_the_table(text):
+    with pytest.raises(ValueError, match="^malformed truth-table JSON: "):
+        TruthTable.from_string(text)

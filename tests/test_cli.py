@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -284,6 +285,42 @@ def test_plot_malformed_report_exit_2(run, make_report):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, text", [
+    ("classify", '{"n": null, "tt": "0110"}'),
+    ("classify", '{"n": [2], "tt": "0110"}'),
+    ("classify", '{"n": 1e400, "tt": "0110"}'),
+    ("classify", '{"n": 2.9, "tt": "0110"}'),
+    ("classify", '{"n": true, "tt": "01"}'),
+    ("classify", '{"n": 2, "tt": 6}'),
+    ("classify", '{"n": 2, "tt": ' + "[" * 100_000),
+    ("plot", '{"n": ' + "[" * 100_000),
+], ids=["null-n", "list-n", "overflow-n", "float-n", "bool-n", "int-tt", "deep-table",
+        "deep-report"])
+def test_mistyped_or_deep_json_exit_2(run, command, text):
+    code, out, err = run([command, "--tt", text])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_report_with_null_generator_exit_2(run):
+    report = _json_with(run, lambda o: o.__setitem__("generator", None))
+    code, out, err = run(["plot", "--tt", report])
+    assert code == 2 and out == ""
+    assert err == "error: JSON report generator must be a string, got None\n"
+
+
+def test_csv_reader_error_independent_of_hash_seed(tmp_path):
+    report = tmp_path / "xy.csv"
+    report.write_text("p,walsh,amplitude,probability\n0,0,0,0\n1,x,0,0\n2,y,0,0\n3,0,0,0\n")
+    for seed in range(1, 7):
+        result = subprocess.run(
+            [sys.executable, "-m", "bentspectra", "plot", "--in", str(report)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": str(seed)},
+        )
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr == "error: invalid literal for int() with base 10: 'x'\n", seed
+
+
 def test_verify_inline_and_random(run):
     code, out, _ = run(["verify", "--tt", "0001000100011110"])
     assert code == 0 and "OK" in out
@@ -293,6 +330,13 @@ def test_verify_inline_and_random(run):
 
 def test_verify_requires_n_with_random(run):
     assert run(["verify", "--random", "5"])[0] == 2
+
+
+@pytest.mark.parametrize("source", [["--tt", "0110"], ["--in", "table.txt"]], ids=["tt", "in"])
+def test_verify_random_refuses_a_given_table(run, source):
+    code, out, err = run(["verify", "--random", "3", "--n", "4", *source])
+    assert code == 2 and out == ""
+    assert err == "error: give at most one of --random, --tt and --in\n"
 
 
 def _broken_circuit(real, broken_call, column):

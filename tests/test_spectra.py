@@ -303,6 +303,30 @@ def test_json_malformed_rows_rejected(edit):
         read_report(json.dumps(obj))
 
 
+@pytest.mark.parametrize("generator", [None, 7, ["ip"], {"name": "ip"}, True])
+def test_json_generator_must_be_a_string(generator):
+    obj = _bent_json()
+    obj["generator"] = generator
+    with pytest.raises(ValueError, match="generator must be a string"):
+        read_report(json.dumps(obj))
+    obj.pop("generator")
+    assert read_report(json.dumps(obj)).generator == ""
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": ' + "[" * 100_000,
+    '{"n": 4, "rows": ' + "[" * 100_000 + "]" * 100_000 + "}",
+], ids=["unclosed-n", "closed-rows"])
+def test_deeply_nested_json_report_is_a_value_error(text):
+    with pytest.raises(ValueError, match="^malformed report JSON: "):
+        read_report(text)
+
+
+def test_json_decode_error_names_the_report():
+    with pytest.raises(ValueError, match="^malformed report JSON: Expecting"):
+        read_report('{"n": 2')
+
+
 def _bent_csv_lines():
     return export_csv(make_report(make_inner_product_bent(4))).splitlines()
 

@@ -367,6 +367,34 @@ def test_classify_columns_match_reference_on_n4_census():
     assert int(columns["is_bent"].sum()) == 896
 
 
+def reference_as_dict(c):
+    """``Classification.as_dict`` with every key written out."""
+    return {
+        "is_constant": c.is_constant,
+        "is_balanced": c.is_balanced,
+        "is_linear": c.is_linear,
+        "is_affine": c.is_affine,
+        "is_bent": c.is_bent,
+        "affine_k": None if c.affine_k is None else c.affine_k.value,
+        "affine_c": c.affine_c,
+        "nonlinearity": c.nonlinearity,
+    }
+
+
+def test_as_dict_matches_literal_dict():
+    masks = np.arange(1 << 16, dtype=np.uint32)
+    bits = ((masks[None, :] >> np.arange(16, dtype=np.uint32)[:, None]) & 1).astype(np.uint8)
+    columns = _classify_columns(4, _fwht_columns(bits))
+    n4 = np.flatnonzero(columns["is_bent"] | columns["is_affine"])
+    assert n4.size == 896 + 32
+    tables = [TruthTable.from_int(3, m) for m in range(1 << 8)]
+    tables += [TruthTable.from_int(4, int(m)) for m in n4]
+    for tt in tables:
+        c = classify(fwht(tt))
+        got, want = list(c.as_dict().items()), list(reference_as_dict(c).items())
+        assert [(k, type(v), v) for k, v in got] == [(k, type(v), v) for k, v in want]
+
+
 def test_classify_matches_reference_random_tables():
     rng = np.random.default_rng(23)
     for n in range(5, 13):
