@@ -36,10 +36,16 @@ MAX_ARITY = 24
 _HEX_DIGITS = set(string.hexdigits)
 
 
+def _short_repr(value) -> str:
+    """``repr(value)`` for a one-line error, cut to 60 characters plus "..." when longer."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
 def _check_arity(n: int) -> int:
     n = int(n)
     if not 1 <= n <= MAX_ARITY:
-        raise ValueError(f"arity must be in [1, {MAX_ARITY}], got {n}")
+        raise ValueError(f"arity must be in [1, {MAX_ARITY}], got {_short_repr(n)}")
     return n
 
 
@@ -206,8 +212,9 @@ class TruthTable(_FrozenTable):
             return cls.from_json(text, n=n)
 
         length = len(text)
-        is_binary = set(text) <= {"0", "1"}
-        is_hex = set(text) <= _HEX_DIGITS
+        raw = text.encode("ascii", "replace")  # non-ASCII becomes "?": neither format
+        is_binary = not raw.translate(None, b"01")
+        is_hex = not raw.translate(None, string.hexdigits.encode())
 
         if n is None:  # binary if it can be (0/1 is also hex), else hex
             bits = length if is_binary and length >= 2 else 4 * length
@@ -231,11 +238,11 @@ class TruthTable(_FrozenTable):
             raise ValueError('truth-table JSON must have keys "n" and "tt"')
         jn, tt = obj["n"], obj["tt"]
         if type(jn) is not int:
-            raise ValueError(f"truth-table JSON needs an integer n, got {jn!r}")
+            raise ValueError(f"truth-table JSON needs an integer n, got {_short_repr(jn)}")
         if n is not None and n != jn:
-            raise ValueError(f"requested n = {n} but JSON claims n = {jn}")
+            raise ValueError(f"requested n = {n} but JSON claims n = {_short_repr(jn)}")
         if type(tt) is not str:
-            raise ValueError(f"truth-table JSON needs a string tt, got {tt!r}")
+            raise ValueError(f"truth-table JSON needs a string tt, got {_short_repr(tt)}")
         return cls.from_string(tt, n=jn)
 
     # -- queries ------------------------------------------------------------
@@ -459,6 +466,17 @@ def make_mm_bent(
     y = idx >> half
     bits = (np.bitwise_count(x & pi_arr[y]) & 1).astype(np.uint8) ^ g.bits[y]
     return TruthTable(2 * half, bits)
+
+
+#: Table entries one block of tables holds.  ``verify --random`` and
+#: ``shuffle_search_bent`` run ``_tables_per_block(n)`` tables at a time, so
+#: their memory depends on n and not on how many tables they run.
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _tables_per_block(n: int) -> int:
+    """max(1, _BLOCK_ENTRIES / 2^n): the n-bit tables one block holds."""
+    return max(1, _BLOCK_ENTRIES >> n)
 
 
 def _random_columns(n: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -57,13 +57,13 @@ def _arity_cap() -> int:
     try:
         cap = int(raw)
     except ValueError:
-        raise ValueError(f"BENTSPECTRA_MAX_N must be an integer, got {raw!r}")
+        raise ValueError(f"BENTSPECTRA_MAX_N must be an integer, got {boolfn._short_repr(raw)}")
     return max(1, min(cap, boolfn.MAX_ARITY))
 
 
 def _check_arity(n: int, cap: int) -> int:
     if not 1 <= n <= cap:
-        raise ValueError(f"n = {n} is outside the configured cap [1, {cap}]")
+        raise ValueError(f"n = {boolfn._short_repr(n)} is outside the configured cap [1, {cap}]")
     if n > SOFT_ARITY_WARNING:
         print(
             f"warning: n = {n} exceeds the soft limit of {SOFT_ARITY_WARNING}; "
@@ -253,11 +253,6 @@ def _cmd_plot(args, cap: int) -> int:
     return 0
 
 
-#: Table entries ``verify`` runs at once: blocks of max(1, 2^18 / 2^n) tables,
-#: so its memory depends on n and not on the --random COUNT.
-_VERIFY_BLOCK_ENTRIES = 1 << 18
-
-
 def _cmd_verify(args, cap: int) -> int:
     cap = min(cap, walsh.NAIVE_MAX_N)  # the literal-sum route bounds the arity
     if args.random is not None:
@@ -270,7 +265,7 @@ def _cmd_verify(args, cap: int) -> int:
         n = _check_arity(args.n, cap)
         count = args.random
         rng = np.random.default_rng(args.seed)
-        per_block = max(1, _VERIFY_BLOCK_ENTRIES >> n)
+        per_block = boolfn._tables_per_block(n)
         blocks = (
             (first, boolfn._random_columns(n, min(per_block, count - first), rng))
             for first in range(0, count, per_block)

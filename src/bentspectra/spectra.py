@@ -4,16 +4,15 @@ A ``SpectrumReport`` bundles, for every outcome index p, the integer Walsh
 coefficient W(p), the real output amplitude W(p) / 2^n and the measurement
 probability (W(p) / 2^n)^2, plus metadata (generator description, seed when
 one was used, and the spectral classification).  It is built from a
-``WalshSpectrum`` alone and derives every other column from W, so every row
-is a pure function of its W value; ``read_report`` rejects files whose
-columns disagree with their W.  The exporters use that: they format each
-distinct W once (a bent function has two) and index the formatted text by
-outcome.  The CSV reader uses it too: it rebuilds the report from the W
-column alone and accepts the file when the report's export is the file's
-text; only a text that differs from it is parsed field by field.  All
-exporters are deterministic: identical inputs produce identical bytes.
-Floating-point columns are printed with up to 17 significant digits, enough
-to round-trip float64 losslessly.
+``WalshSpectrum`` alone, so every row is a pure function of its W value, and
+``read_report`` rejects files whose columns disagree with their W.  The CSV
+writers, the report JSON writer and the SVG writer format each distinct value
+once (a bent function has two W values) and index the text by outcome.  The CSV
+reader rebuilds the report from the W column alone and accepts the file when
+the report's export is the file's text; only a text that differs from it is
+parsed field by field.  All exporters are deterministic, and floating-point
+columns are printed with up to 17 significant digits, enough to round-trip
+float64 losslessly.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .boolfn import TruthTable, _check_arity, _Frozen, _load_json
+from .boolfn import TruthTable, _check_arity, _Frozen, _load_json, _short_repr
 from .walsh import WalshSpectrum, classify, fwht
 
 ASCII_MAX_BARS = 1 << 8
@@ -75,33 +74,40 @@ def make_report(
     return SpectrumReport(fwht(tt), generator, seed)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of ``values`` in increasing order, and each entry's index among them.
 
-
-def _distinct_rows(report: SpectrumReport) -> tuple[list, np.ndarray]:
-    """(w, amplitude, probability) per distinct W, in increasing W, and each outcome's index.
-
-    W is even with |W| <= 2^n, so (W + 2^n) / 2 indexes a (2^n + 1)-entry
-    presence table; its running count gives each outcome's index without a sort.
-    The amplitude and probability are the report's own operations, w / 2^n and
-    its square, so they equal the report's columns bit for bit.
+    An integer column spanning at most 2 * len + 1 values (every W column, by
+    Parseval, and a count column unless one outcome takes nearly all shots)
+    uses a presence table and its running count, sized by the column length
+    alone; any other column goes through ``np.unique``.
     """
-    size = 1 << report.n
-    keys = (report.walsh + size) >> 1
-    present = np.zeros(size + 1, dtype=bool)
-    present[keys] = True
-    w = 2 * np.flatnonzero(present) - size
-    a = w / float(size)
-    rows = zip(w.tolist(), a.tolist(), (a * a).tolist())
-    return list(rows), (np.cumsum(present) - 1)[keys]
+    if values.dtype.kind in "iu":
+        low, high = int(values.min()), int(values.max())
+        if high - low <= 2 * values.size:
+            keys = values - low
+            present = np.zeros(high - low + 1, dtype=bool)
+            present[keys] = True
+            return np.flatnonzero(present) + low, np.cumsum(present, dtype=np.int32)[keys] - 1
+    return np.unique(values, return_inverse=True)
+
+
+def _rows(values: np.ndarray, tail, sep: str) -> str:
+    """``f"{p}{tail(values[p])}"`` per outcome p, joined by ``sep``; ``tail`` runs per value."""
+    distinct, index = _distinct(values)
+    tails = [tail(v) for v in distinct.tolist()]
+    return sep.join([f"{p}{tails[i]}" for p, i in enumerate(index.tolist())])
+
+
+def _report_rows(report: SpectrumReport, row: str, sep: str) -> str:
+    """Rows tailed by ``row.format(w, a, a * a)``, a = w / 2^n as the report computes it."""
+    scale = float(1 << report.n)
+    return _rows(report.walsh, lambda w: row.format(w, a := w / scale, a * a), sep)
 
 
 def export_csv(report: SpectrumReport) -> str:
     """CSV text: header ``p,walsh,amplitude,probability`` then one row per p."""
-    distinct, inv = _distinct_rows(report)
-    tails = [f",{w},{_fmt(a)},{_fmt(q)}" for w, a, q in distinct]
-    rows = "\n".join([f"{p}{tails[i]}" for p, i in enumerate(inv.tolist())])
+    rows = _report_rows(report, ",{},{:.17g},{:.17g}", "\n")
     return f"{_CSV_HEADER}\n{rows}\n"
 
 
@@ -117,14 +123,10 @@ def export_json(report: SpectrumReport) -> str:
         obj["seed"] = report.seed
     obj["classification"] = report.classification.as_dict()
     head = json.dumps(obj, indent=2)[: -len("\n}")]
-    distinct, inv = _distinct_rows(report)
-    tails = [
-        f',\n      "walsh": {w},\n      "amplitude": {a!r},'
-        f'\n      "probability": {q!r}\n    }}'
-        for w, a, q in distinct
-    ]
-    rows = ",\n".join([f'    {{\n      "p": {p}{tails[i]}' for p, i in enumerate(inv.tolist())])
-    return f'{head},\n  "rows": [\n{rows}\n  ]\n}}\n'
+    start = '\n    {\n      "p": '
+    rows = _report_rows(report, ',\n      "walsh": {},\n      "amplitude": {!r},'
+                        '\n      "probability": {!r}\n    }}', "," + start)
+    return f'{head},\n  "rows": [{start}{rows}\n  ]\n}}\n'
 
 
 def _parse_column(fields: list[str], parse) -> list:
@@ -156,7 +158,7 @@ def _read_json(obj) -> SpectrumReport:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed JSON report ({type(exc).__name__}: {exc})") from None
     if type(n) is not int:
-        raise ValueError(f"JSON report needs an integer n, got {n!r}")
+        raise ValueError(f"JSON report needs an integer n, got {_short_repr(n)}")
     if len(rows) != 1 << _check_arity(n):
         raise ValueError(f"JSON report with n = {n} needs {1 << n} rows, got {len(rows)}")
     _check_order(columns[0])
@@ -166,9 +168,10 @@ def _read_json(obj) -> SpectrumReport:
             raise ValueError(f"JSON report {name} column holds non-numbers")
     seed, generator = obj.get("seed"), obj.get("generator", "")
     if seed is not None and type(seed) is not int:
-        raise ValueError(f"JSON report seed must be an integer, got {seed!r}")
+        raise ValueError(f"JSON report seed must be an integer, got {_short_repr(seed)}")
     if type(generator) is not str:
-        raise ValueError(f"JSON report generator must be a string, got {generator!r}")
+        raise ValueError(
+            f"JSON report generator must be a string, got {_short_repr(generator)}")
     report = _checked_report(n, *columns[1:], generator, seed)
     if obj.get("classification") != report.classification.as_dict():
         raise ValueError("JSON report classification is missing or contradicts its walsh column")
@@ -177,7 +180,7 @@ def _read_json(obj) -> SpectrumReport:
 
 def _read_csv(lines: list[str]) -> SpectrumReport:
     if lines[0] != _CSV_HEADER:
-        raise ValueError(f"unexpected report header: {lines[0]!r}")
+        raise ValueError(f"unexpected report header: {_short_repr(lines[0])}")
     rows = list(filter(None, lines[1:]))
     count = len(rows)
     if count < 2 or count & (count - 1):
@@ -248,20 +251,16 @@ def read_report(text: str) -> SpectrumReport:
     return _read_csv(text.splitlines()) if report is None else report
 
 
-def _indexed_csv(name: str, values: list) -> str:
-    """Header ``p,<name>`` then one ``p,value`` row per outcome."""
-    rows = "\n".join([f"{p},{v}" for p, v in enumerate(values)])
-    return f"p,{name}\n{rows}\n"
-
-
 def export_walsh_csv(spec: WalshSpectrum) -> str:
     """Bare spectrum CSV: header ``p,walsh`` then one row per p."""
-    return _indexed_csv("walsh", spec.coeffs.tolist())
+    rows = _rows(spec.coeffs, ",{}".format, "\n")
+    return f"p,walsh\n{rows}\n"
 
 
 def export_histogram_csv(hist) -> str:
     """Histogram CSV: header ``p,count`` then one row per outcome."""
-    return _indexed_csv("count", hist.counts.tolist())
+    rows = _rows(hist.counts, ",{}".format, "\n")
+    return f"p,count\n{rows}\n"
 
 
 def export_histogram_json(hist, seed: int | None = None) -> str:
@@ -328,7 +327,7 @@ def _render_svg(vals: np.ndarray, title: str) -> str:
             f'font-family="monospace" font-size="14">{escape(title)}</text>'
         )
     # every bar of the same |v| shares the text after its x attribute
-    magnitudes, inv = np.unique(np.abs(vals), return_inverse=True)
+    magnitudes, inv = _distinct(np.abs(vals))
     tails = []
     for v in magnitudes.tolist():
         h = 0.0 if peak == 0.0 else plot_h * v / peak

@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .boolfn import (BitVector, TruthTable, _butterfly, _check_arity, _check_even_arity,
-                     _frozen_array, _FrozenTable)
+                     _frozen_array, _FrozenTable, _tables_per_block)
 
 #: walsh_naive takes O(4^n) time; past this the quadratic cost is no longer a
 #: usable oracle.  Its memory is O(2^n) per table plus one chunk of at most 4 MiB.
@@ -244,10 +244,11 @@ def shuffle_search_bent(
     reachable by negating the output.  Returns the first shuffled table
     whose Walsh spectrum is flat, or (None, max_iters) if none is found.
 
-    Candidates are drawn and tested in blocks of max(1, 2^18 / 2^n), never
-    past ``max_iters``, in the order of successive ``rng.permutation``
-    calls, so the table and count depend on the seed alone.  After a hit
-    ``rng`` has advanced to the end of that block.
+    Candidates are drawn and tested in blocks of ``boolfn._tables_per_block(n)``
+    tables (max(1, ``boolfn._BLOCK_ENTRIES`` / 2^n)), never past ``max_iters``,
+    in the order of successive ``rng.permutation`` calls, so the table and
+    count depend on the seed alone.  After a hit ``rng`` has advanced to the
+    end of that block.
     """
     n = _check_even_arity(n)
     max_iters = int(max_iters)
@@ -256,7 +257,7 @@ def shuffle_search_bent(
     size = 1 << n
     seed = np.zeros(size, dtype=np.uint8)
     seed[: (1 << (n - 1)) - (1 << (n // 2 - 1))] = 1
-    per_block = max(1, (1 << 18) >> n)
+    per_block = _tables_per_block(n)
     for done in range(0, max_iters, per_block):
         rows = rng.permuted(np.tile(seed, (min(per_block, max_iters - done), 1)), axis=1)
         hits = np.flatnonzero(_classify_columns(n, _fwht_columns(rows.T.copy()))["is_bent"])

@@ -17,6 +17,7 @@ from bentspectra import (
     TruthTable,
     amplitudes_direct,
     amplitudes_from_walsh,
+    boolfn,
     cli,
     djsim,
     fwht,
@@ -127,6 +128,28 @@ def test_bad_arity_cap_rejected_by_plot(run, monkeypatch):
     monkeypatch.setenv("BENTSPECTRA_MAX_N", "abc")
     code, out, err = run(["plot", "--tt", report])
     assert code == 2 and out == "" and "BENTSPECTRA_MAX_N" in err
+
+
+def test_error_lines_cap_long_values(run, monkeypatch):
+    long = [0] * 100_000
+    report = json.loads(run(["dj", "--tt", "0001", "--format", "json"])[1])
+    cases = [
+        ["classify", "--tt", json.dumps({"n": 2, "tt": long})],
+        ["classify", "--tt", json.dumps({"n": long, "tt": "0110"})],
+        ["classify", "--tt", json.dumps({"n": 10**4000, "tt": "0110"})],
+        ["gen", "--kind", "constant", "--n", str(10**4000)],
+        ["plot", "--tt", json.dumps({**report, "n": 10**4000})],
+        ["plot", "--tt", "x" * 100_000 + "\n0,2,1,1\n1,0,0,0\n"],
+    ]
+    cases += [["plot", "--tt", json.dumps({**report, key: long})]
+              for key in ("n", "seed", "generator")]
+    for argv in cases:
+        code, out, err = run(argv)
+        assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 200, err[:80]
+    monkeypatch.setenv("BENTSPECTRA_MAX_N", "x" * 100_000)
+    code, _, err = run(["gen", "--kind", "constant", "--n", "2"])
+    assert code == 2 and err.startswith("error: BENTSPECTRA_MAX_N") and len(err) < 200
 
 
 def test_soft_arity_warning(run):
@@ -375,7 +398,7 @@ def test_verify_route_mismatch_exits_3(run, monkeypatch):
 
 
 def test_verify_random_block_mismatch_names_table_and_outcome(run, monkeypatch):
-    monkeypatch.setattr(cli, "_VERIFY_BLOCK_ENTRIES", 64)  # 4 tables of n=4
+    monkeypatch.setattr(boolfn, "_BLOCK_ENTRIES", 64)  # 4 tables of n=4
     circuit, calls = _broken_circuit(djsim._circuit_columns, 2, 1)
     monkeypatch.setattr(djsim, "_circuit_columns", circuit)
     code, out, err = run(["verify", "--random", "10", "--n", "4", "--seed", "3"])
@@ -424,7 +447,7 @@ def _check_verify_stdout(run, n, seeds, counts):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_verify_blocks_match_per_table_reference(run, monkeypatch, n):
     # blocks of 2^10 entries keep the per-table reference fast at small n
-    monkeypatch.setattr(cli, "_VERIFY_BLOCK_ENTRIES", 1 << 10)
+    monkeypatch.setattr(boolfn, "_BLOCK_ENTRIES", 1 << 10)
     block = max(1, (1 << 10) >> n)
     _check_verify_stdout(run, n, range(3), sorted({1, block, block + 1, 3 * block}))
 
@@ -436,7 +459,7 @@ def test_verify_default_blocks_match_per_table_reference(run, n, count):
 
 def test_verify_memory_depends_on_n_not_count(run):
     n = 6
-    block = cli._VERIFY_BLOCK_ENTRIES >> n
+    block = boolfn._BLOCK_ENTRIES >> n
     run(["verify", "--random", "1", "--n", str(n)])  # builds the cached matrix
     peaks = []
     for count in (block, 4 * block):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bentspectra import (
+    MeasurementHistogram,
     SpectrumReport,
     TruthTable,
     WalshSpectrum,
@@ -513,6 +514,48 @@ def test_histogram_writers_match_per_row_reference(tt, shots, seed):
                                np.random.default_rng(seed))
     assert export_histogram_csv(hist) == reference_indexed_csv("count", hist.counts)
     assert json.loads(export_histogram_json(hist))["counts"] == [int(c) for c in hist.counts]
+
+
+def _assert_distinct_like_unique(values):
+    values = np.asarray(values)
+    got, index = spectra._distinct(values)
+    want, inverse = np.unique(values, return_inverse=True)
+    assert got.tolist() == want.tolist() and index.tolist() == inverse.tolist()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_distinct_matches_unique_on_walsh_columns(n):
+    rng = np.random.default_rng(n)
+    tables = [random_function(n, rng), make_constant(n, 0), make_constant(n, 1),
+              make_affine(n, int(rng.integers(1 << n)), 1)]  # W = 2^n, -2^n, +-2^n
+    if n % 2 == 0:
+        tables.append(make_inner_product_bent(n))
+    for tt in tables:
+        _assert_distinct_like_unique(fwht(tt).coeffs)
+
+
+@pytest.mark.parametrize("values", [
+    [32, 0, 5, 0] + [1] * 12,  # span 33 = 2 * 16 + 1: the presence table
+    [33, 0, 5, 0] + [1] * 12,  # span 34: np.unique
+    [10**9] + [0] * 15,  # a delta histogram
+    [-7, 3, -7, 0, 2, 3],
+    np.array([200, 3, 3, 255], dtype=np.uint8),
+    [0.5, -1.25, 0.5, 3.0, -1.25, 0.0],
+])
+def test_distinct_matches_unique_on_other_columns(values):
+    _assert_distinct_like_unique(values)
+
+
+def test_histogram_csv_memory_does_not_grow_with_shots():
+    hist = MeasurementHistogram(4, [10**9] + [0] * 15, 10**9)
+    tracemalloc.start()
+    try:
+        text = export_histogram_csv(hist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == reference_indexed_csv("count", hist.counts)
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
