@@ -33,8 +33,6 @@ import numpy as np
 #: the 32-bit Walsh coefficient buffer within ~128 MiB.
 MAX_ARITY = 24
 
-_HEX_DIGITS = set(string.hexdigits)
-
 
 def _short_repr(value) -> str:
     """``repr(value)`` for a one-line error, cut to 60 characters plus "..." when longer."""

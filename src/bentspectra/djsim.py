@@ -6,11 +6,12 @@ The n-qubit output amplitude at p is
 
 i.e. the Walsh spectrum of f scaled by 2^-n.  Every amplitude is real: the
 circuit is H^n, a +-1 phase oracle, H^n, none of which leaves the real
-line.  Amplitudes are dyadic rationals, exactly representable in float64
-up to n = 20, so the independent routes below agree to within butterfly
-rounding (~1e-15) and are checked against each other at 1e-12:
+line.  Amplitudes are dyadic rationals W / 2^n with |W| <= 2^n, exactly
+representable in float64 at every arity up to ``MAX_ARITY`` = 24, so the
+independent routes below agree to within butterfly rounding (~1e-15) and
+are checked against each other at 1e-12:
 
-* ``amplitudes_direct``      - literal sum, O(4^n);
+* ``amplitudes_direct``      - literal sum, factor by factor, O(2^{3n/2});
 * ``amplitudes_from_walsh``  - integer spectrum scaled by 2^-n;
 * ``simulate_circuit``       - n-qubit statevector with a phase oracle;
 * ``simulate_with_ancilla``  - (n+1)-qubit statevector with a bit-flip
@@ -32,13 +33,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfn import TruthTable, _butterfly, _check_arity, _check_bits, _Frozen, _frozen_array
+from .boolfn import (MAX_ARITY, TruthTable, _butterfly, _check_arity, _check_bits, _Frozen,
+                     _frozen_array, _short_repr)
 from .walsh import WalshSpectrum, _check_spectra, _fwht_columns, _naive_columns
 
-#: Statevector caps: one float64 buffer of 2^n (plus 2^{n+1} for the
-#: ancilla route) entries.
-STATEVECTOR_MAX_N = 20
-ANCILLA_MAX_N = 20
+#: Statevector caps, every arity a table can have: one float64 buffer of 2^n
+#: entries (128 MiB at n = 24), or of 2^{n+1} for the ancilla route.
+STATEVECTOR_MAX_N = MAX_ARITY
+ANCILLA_MAX_N = MAX_ARITY
 
 #: Fewest draws ``sample_measurements`` holds at once (8 MiB of float64).
 _SAMPLE_CHUNK = 1 << 20
@@ -103,11 +105,11 @@ def _direct_columns(n: int, bits: np.ndarray) -> np.ndarray:
 
 
 def amplitudes_direct(tt: TruthTable) -> Amplitudes:
-    """Literal evaluation of the amplitude sum in float64, O(4^n).
+    """Literal evaluation of the amplitude sum, O(2^{3n/2}), at every arity.
 
     Independent of both the butterfly transform and the statevector
-    pipeline; every partial sum is an integer of at most 2^n in magnitude,
-    so the result is exact despite the floating point.
+    pipeline; ``walsh._naive_columns`` sums in float32, and every partial sum
+    is an integer of at most 2^n in magnitude, so the result is exact.
     """
     return Amplitudes(tt.n, _direct_columns(tt.n, tt.bits[:, None])[:, 0])
 
@@ -142,8 +144,6 @@ def _signed_layer(levels: int, bits: np.ndarray) -> np.ndarray:
 
 
 def _circuit_columns(n: int, bits: np.ndarray) -> np.ndarray:
-    if n > STATEVECTOR_MAX_N:
-        raise ValueError(f"statevector route supports n <= {STATEVECTOR_MAX_N}, got {n}")
     state = _signed_layer(n, bits)
     _butterfly(state, _hadamard_pair)
     return state
@@ -161,8 +161,6 @@ def simulate_circuit(tt: TruthTable) -> Amplitudes:
 
 
 def _ancilla_columns(n: int, bits: np.ndarray) -> np.ndarray:
-    if n > ANCILLA_MAX_N:
-        raise ValueError(f"ancilla route supports n <= {ANCILLA_MAX_N}, got {n}")
     # H^(n+1)|0..0,1> is v on |x,0> and -v on |x,1>; the bit-flip oracle swaps
     # the two where f(x) = 1, so |x,0> holds (-1)^f(x) v and |x,1> its negation.
     state = np.empty((2, *bits.shape))
@@ -232,8 +230,8 @@ def sample_measurements(
     for bit, the same as drawing every shot at once and searching each.
     """
     shots = int(shots)
-    if shots < 0:
-        raise ValueError(f"shots must be non-negative, got {shots}")
+    if not 0 <= shots < 1 << 63:  # the histogram counts in int64
+        raise ValueError(f"shots must be in [0, 2^63 - 1], got {_short_repr(shots)}")
     size = 1 << a.n
     cdf = np.cumsum(probabilities(a))
     chunk = max(size, _SAMPLE_CHUNK)

@@ -152,20 +152,21 @@ def _checked_report(n: int, walsh: list, amplitudes: list, probs: list,
 
 
 def _read_json(obj) -> SpectrumReport:
+    keys = ("p", "walsh", "amplitude", "probability")
     try:
         n, rows = obj["n"], obj["rows"]
-        columns = [[r[key] for r in rows] for key in ("p", "walsh", "amplitude", "probability")]
+        columns = [[r[key] for r in rows] for key in keys]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed JSON report ({type(exc).__name__}: {exc})") from None
     if type(n) is not int:
         raise ValueError(f"JSON report needs an integer n, got {_short_repr(n)}")
     if len(rows) != 1 << _check_arity(n):
         raise ValueError(f"JSON report with n = {n} needs {1 << n} rows, got {len(rows)}")
+    for key, column, kinds in zip(keys, columns, ({int}, {int}, {int, float}, {int, float})):
+        if not set(map(type, column)) <= kinds:  # JSON true and false load as bool
+            what = "integers" if float not in kinds else "numbers"
+            raise ValueError(f"JSON report {key} column holds values that are not {what}")
     _check_order(columns[0])
-    for name, column, kinds in zip(("walsh", "amplitude", "probability"), columns[1:],
-                                   ("i", "if", "if")):
-        if np.asarray(column).dtype.kind not in kinds:
-            raise ValueError(f"JSON report {name} column holds non-numbers")
     seed, generator = obj.get("seed"), obj.get("generator", "")
     if seed is not None and type(seed) is not int:
         raise ValueError(f"JSON report seed must be an integer, got {_short_repr(seed)}")

@@ -6,10 +6,10 @@ The Walsh coefficient at p is the signed integer
 
 measuring the correlation of f with the linear function x -> p.x.  Two
 implementations are provided: ``walsh_naive`` evaluates the double sum
-literally in O(4^n) and serves as the oracle, ``fwht`` runs the in-place
-O(n 2^n) butterfly.  They agree entry for entry on every input.  The
-literal sum multiplies the 2^n x 2^n character matrix by the sign column
-in float32 chunks of rows, each built from two half-size factors, so it
+literally and serves as the oracle, ``fwht`` runs the in-place O(n 2^n)
+butterfly.  They agree entry for entry on every input.  The 2^n x 2^n
+character matrix is the Kronecker product of two half-size factors, so the
+literal sum runs as one float32 matrix product per factor, O(2^{3n/2}), and
 never holds the whole matrix (see ``_naive_columns``).
 
 Spectral facts the classifier relies on; by Parseval it reads every flag
@@ -33,13 +33,6 @@ import numpy as np
 
 from .boolfn import (BitVector, TruthTable, _butterfly, _check_arity, _check_even_arity,
                      _frozen_array, _FrozenTable, _tables_per_block)
-
-#: walsh_naive takes O(4^n) time; past this the quadratic cost is no longer a
-#: usable oracle.  Its memory is O(2^n) per table plus one chunk of at most 4 MiB.
-NAIVE_MAX_N = 12
-
-#: Entries in one float32 chunk of character-matrix rows (4 MiB).
-_CHUNK_ENTRIES = 1 << 20
 
 
 def _check_spectra(n: int, w: np.ndarray) -> None:
@@ -104,11 +97,13 @@ class Classification:
 def _character_matrix(m: int) -> np.ndarray:
     """(-1)^(p.x) for m-bit p (rows) and x (columns), as a read-only float32 matrix.
 
-    ``_naive_columns`` uses it only as a half-size factor, m <= NAIVE_MAX_N / 2,
-    so the largest is 64 x 64.
+    ``_naive_columns`` uses it only as a half-size factor, m <= 12 (half of
+    ``MAX_ARITY``), so the largest, at n = 23 and 24, is 4096 x 4096 (64 MiB).
     """
-    idx = np.arange(1 << m)
-    chi = 1 - 2 * (np.bitwise_count(idx[:, None] & idx[None, :]) & 1).astype(np.float32)
+    idx = np.arange(1 << m, dtype=np.uint16)
+    chi = (np.bitwise_count(idx[:, None] & idx[None, :]) & 1).astype(np.float32)
+    chi *= -2
+    chi += 1
     chi.setflags(write=False)
     return chi
 
@@ -117,35 +112,37 @@ def _naive_columns(n: int, bits: np.ndarray) -> np.ndarray:
     """The double sum W(p) of each (2^n, B) table column, as exact float64 integers.
 
     Splitting p and x into their high n - n//2 and low n//2 bits,
-    (-1)^(p.x) = (-1)^(p_hi.x_hi) * (-1)^(p_lo.x_lo), so each chunk of rows of the
-    character matrix is one broadcast product of the two half-size factors.  Each
-    chunk (at most 2^20 entries) multiplies the float32 sign columns.  That is
-    exact: every entry and partial sum is an integer of magnitude at most
-    2^n <= 2^12 < 2^24, which float32 holds in any summation order.
+    (-1)^(p.x) = (-1)^(p_hi.x_hi) * (-1)^(p_lo.x_lo), so the character matrix is
+    the Kronecker product of two half-size factors and
+
+        W(p_hi, p_lo) = sum over x_hi of (-1)^(p_hi.x_hi) *
+                        sum over x_lo of (-1)^(p_lo.x_lo) * (-1)^f(x_hi, x_lo),
+
+    the same double sum, summed over x_lo first.  Each sum is one float32 matrix
+    product, and x_lo is moved innermost for the first one as the signs are
+    converted.  That is exact: every entry and partial sum is an integer of
+    magnitude at most 2^n <= 2^24, which float32 holds in any summation order.
     """
-    if n > NAIVE_MAX_N:
-        raise ValueError(f"the literal sum supports n <= {NAIVE_MAX_N}, got {n}")
     low = n // 2
     chi_hi, chi_lo = _character_matrix(n - low), _character_matrix(low)
-    signs = 1 - 2 * bits.astype(np.float32)
-    out = np.empty(signs.shape)
-    step = min(len(chi_hi), max(1, _CHUNK_ENTRIES >> (n + low)))  # p_hi rows per chunk
-    chunk = np.empty((step, 1 << low, len(chi_hi), 1 << low), dtype=np.float32)
-    rows = chunk.reshape(step << low, 1 << n)
-    for hi in range(0, len(chi_hi), step):
-        np.multiply(chi_hi[hi : hi + step, None, :, None], chi_lo[None, :, None, :], out=chunk)
-        out[hi << low : (hi + step) << low] = rows @ signs
-    return out
+    rows, cols, count = len(chi_hi), len(chi_lo), bits.shape[1]
+    w = bits.reshape(rows, cols, count).swapaxes(1, 2).astype(np.float32, order="C")
+    w *= -2
+    w += 1  # the signs (-1)^f as rows (x_hi, table) by columns x_lo
+    w = w.reshape(-1, cols) @ chi_lo  # sum over x_lo; chi_lo is symmetric
+    w = chi_hi @ w.reshape(rows, -1)  # sum over x_hi: rows p_hi by (table, p_lo)
+    w = w.reshape(rows, count, cols).swapaxes(1, 2).astype(np.float64, order="C")
+    return w.reshape(bits.shape)
 
 
 def walsh_naive(tt: TruthTable) -> WalshSpectrum:
-    """Literal evaluation of the defining double sum, O(4^n).
+    """Literal evaluation of the defining double sum, O(2^{3n/2}).
 
     Kept deliberately free of the butterfly so it can serve as an
-    independent oracle for ``fwht``.  The character matrix is built and
-    multiplied in 4 MiB float32 chunks of rows, exact because every partial
-    sum is an integer below 2^24 in magnitude.  Limited to n <= NAIVE_MAX_N
-    by its O(4^n) time, not its memory.
+    independent oracle for ``fwht`` at every arity.  The sum runs through the
+    two half-size character factors, one float32 matrix product each, exact
+    because every partial sum is an integer of magnitude at most 2^24.  The
+    cached factors reach 4096 x 4096 (64 MiB) at n = 24.
     """
     return WalshSpectrum(tt.n, _naive_columns(tt.n, tt.bits[:, None])[:, 0])
 

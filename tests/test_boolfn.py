@@ -1,6 +1,7 @@
 """Truth tables, bit vectors, generators, ANF, and the text formats."""
 
 import itertools
+import string
 import tracemalloc
 
 import numpy as np
@@ -22,9 +23,8 @@ from bentspectra import (
     shuffle_search_bent,
     to_anf,
 )
-from bentspectra.boolfn import (MAX_ARITY, _HEX_DIGITS, _SCRATCH, _bits_from_binary,
-                                 _bits_from_hex, _butterfly, _check_arity, _random_columns,
-                                 _xor_pair)
+from bentspectra.boolfn import (MAX_ARITY, _SCRATCH, _bits_from_binary, _bits_from_hex,
+                                 _butterfly, _check_arity, _random_columns, _xor_pair)
 from bentspectra.djsim import _hadamard_pair
 from bentspectra.walsh import _sum_diff
 
@@ -518,7 +518,7 @@ def reference_from_string(text, n=None):
         return TruthTable.from_json(text, n=n)
     length = len(text)
     is_binary = set(text) <= {"0", "1"}
-    is_hex = set(text) <= _HEX_DIGITS
+    is_hex = set(text) <= set(string.hexdigits)
     if n is not None:
         n = _check_arity(n)
         size = 1 << n

@@ -123,6 +123,17 @@ def test_arity_cap_applies_to_plot_and_paper(run, monkeypatch, tmp_path):
     assert not (tmp_path / "scenarios").exists()
 
 
+@pytest.mark.parametrize("command", ["walsh", "classify"])
+def test_usage_error_cuts_an_echoed_argument(run, command):
+    code, out, err = run([command, "--n", "7" * 100_000])
+    assert code == 1 and out == "" and len(err) < 300
+    assert err.endswith(f"bentspectra {command}: error: argument --n: invalid int value: "
+                        f"'{'7' * 126}...\n")
+    code, out, err = run([command, "--n", "x"])  # a short message is left whole
+    assert code == 1 and out == ""
+    assert err.endswith(f"bentspectra {command}: error: argument --n: invalid int value: 'x'\n")
+
+
 def test_bad_arity_cap_rejected_by_plot(run, monkeypatch):
     _, report, _ = run(["dj", "--tt", "0001"])
     monkeypatch.setenv("BENTSPECTRA_MAX_N", "abc")
@@ -210,6 +221,13 @@ def test_sample_counts(run):
                         "--format", "json"])
     obj = json.loads(out)
     assert obj["shots"] == 100 and sum(obj["counts"]) == 100
+
+
+@pytest.mark.parametrize("shots", [-1, 1 << 63, 10**40])
+def test_sample_shots_outside_int64_exit_2(run, shots):
+    code, out, err = run(["sample", "--tt", "0110", "--shots", str(shots)])
+    assert (code, out) == (2, "")
+    assert err == f"error: shots must be in [0, 2^63 - 1], got {shots}\n"
 
 
 def test_malformed_table_exit_2(run):

@@ -25,7 +25,7 @@ from bentspectra import (
     simulate_with_ancilla,
 )
 from bentspectra import djsim
-from bentspectra.boolfn import _butterfly, _random_columns
+from bentspectra.boolfn import MAX_ARITY, _butterfly, _random_columns
 from bentspectra.djsim import (
     ANCILLA_MAX_N,
     STATEVECTOR_MAX_N,
@@ -37,7 +37,7 @@ from bentspectra.djsim import (
     _hadamard_pair,
     _scaled_spectra,
 )
-from bentspectra.walsh import NAIVE_MAX_N, _fwht_columns
+from bentspectra.walsh import _fwht_columns
 
 ROUTE_TOL = 1e-12
 
@@ -101,12 +101,14 @@ def test_ancilla_known_outcomes():
 
 
 def test_route_caps():
+    assert STATEVECTOR_MAX_N == ANCILLA_MAX_N == MAX_ARITY
+    tt = random_function(21, np.random.default_rng(21))  # past the old caps of 12 and 20
+    expected = amplitudes_from_walsh(fwht(tt)).amps
+    assert np.array_equal(amplitudes_direct(tt).amps, expected)
+    for route in (simulate_circuit, simulate_with_ancilla):
+        assert np.abs(route(tt).amps - expected).max() < ROUTE_TOL
     with pytest.raises(ValueError):
-        simulate_circuit(make_constant(STATEVECTOR_MAX_N + 1, 0))
-    with pytest.raises(ValueError):
-        simulate_with_ancilla(make_constant(ANCILLA_MAX_N + 1, 0))
-    with pytest.raises(ValueError):
-        amplitudes_direct(make_constant(NAIVE_MAX_N + 1, 0))
+        make_constant(MAX_ARITY + 1, 0)  # no table, so no route, past MAX_ARITY
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +272,13 @@ def test_sampling_zero_shots():
     amps = amplitudes_from_walsh(fwht(make_constant(2, 0)))
     hist = sample_measurements(amps, 0, np.random.default_rng(0))
     assert hist.shots == 0 and hist.counts.tolist() == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("shots", [-1, 1 << 63, 10**40])
+def test_sampling_refuses_shots_an_int64_counter_cannot_hold(shots):
+    amps = amplitudes_from_walsh(fwht(make_constant(2, 0)))
+    with pytest.raises(ValueError, match=r"^shots must be in \[0, 2\^63 - 1\], got -?\d+$"):
+        sample_measurements(amps, shots, np.random.default_rng(0))
 
 
 def test_sampling_degenerate_distribution():

@@ -253,6 +253,17 @@ def _bent_json():
     return json.loads(export_json(make_report(make_inner_product_bent(4), generator="ip")))
 
 
+def _constant_with(row, key, value):
+    """An edit to a constant n=1 report, whose 0/1 cells a JSON bool equals, of one cell."""
+
+    def edit(obj):
+        obj.clear()
+        obj.update(json.loads(export_json(make_report(make_constant(1, 0)))))
+        obj["rows"][row][key] = value
+
+    return edit
+
+
 def test_json_amplitude_contradicting_walsh_rejected():
     obj = _bent_json()
     obj["rows"][3]["amplitude"] = -obj["rows"][3]["amplitude"]
@@ -296,6 +307,11 @@ def test_json_bad_n_rejected(n):
     lambda o: o["rows"][2].__setitem__("walsh", 4.0),
     lambda o: o["rows"][2].__setitem__("amplitude", "0.25"),
     lambda o: o.__setitem__("seed", "7"),
+    _constant_with(0, "p", False),
+    _constant_with(1, "p", 1.0),
+    _constant_with(1, "walsh", False),
+    _constant_with(0, "amplitude", True),
+    _constant_with(0, "probability", True),
 ])
 def test_json_malformed_rows_rejected(edit):
     obj = _bent_json()

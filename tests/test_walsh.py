@@ -26,8 +26,12 @@ from bentspectra import (
     walsh_naive,
 )
 from bentspectra import cli, djsim, walsh
-from bentspectra.walsh import (NAIVE_MAX_N, _character_matrix, _classify_columns, _fwht_columns,
-                               _naive_columns)
+from bentspectra.boolfn import MAX_ARITY, _random_columns
+from bentspectra.walsh import _character_matrix, _classify_columns, _fwht_columns, _naive_columns
+
+#: Largest n at which the full-matrix ``reference_naive_columns`` runs; its
+#: 4^n-entry index matrix alone takes 32 MiB at n = 12 and 8 GiB at n = 16.
+REFERENCE_MAX_N = 12
 
 
 def walsh_bruteforce(tt):
@@ -150,8 +154,10 @@ def test_known_spectra():
 
 
 def test_naive_arity_cap():
+    tt = random_function(21, np.random.default_rng(21))
+    assert walsh_naive(tt) == fwht(tt)  # past the old cap of 12 and the statevector one of 20
     with pytest.raises(ValueError):
-        walsh_naive(make_constant(NAIVE_MAX_N + 1, 0))
+        walsh_naive(make_constant(MAX_ARITY + 1, 0))
 
 
 def _literal_sum_columns(n, count, seed):
@@ -165,7 +171,7 @@ def _literal_sum_columns(n, count, seed):
 
 
 @pytest.mark.parametrize("count", [1, 3, 64])
-@pytest.mark.parametrize("n", range(1, NAIVE_MAX_N + 1))
+@pytest.mark.parametrize("n", range(1, REFERENCE_MAX_N + 1))
 def test_naive_columns_bit_identical_to_reference(n, count):
     bits = _literal_sum_columns(n, count, n)
     got = _naive_columns(n, bits)
@@ -173,7 +179,17 @@ def test_naive_columns_bit_identical_to_reference(n, count):
     assert got.tobytes() == reference_naive_columns(n, bits).tobytes()
 
 
-@pytest.mark.parametrize("m", range(NAIVE_MAX_N // 2 + 1))
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("n", range(REFERENCE_MAX_N + 1, 21))
+def test_naive_columns_equal_the_butterfly_past_the_reference(n, count):
+    bits = _literal_sum_columns(n, count, n)
+    got = _naive_columns(n, bits)
+    assert got.dtype == np.float64 and got.shape == bits.shape
+    assert np.array_equal(got.astype(np.int32), _fwht_columns(bits))
+    assert np.array_equal(got, np.round(got))
+
+
+@pytest.mark.parametrize("m", range(REFERENCE_MAX_N // 2 + 1))
 def test_character_factor_entries(m):
     size = 1 << m
     expected = [[-1 if (p & x).bit_count() & 1 else 1 for x in range(size)] for p in range(size)]
@@ -183,7 +199,7 @@ def test_character_factor_entries(m):
 
 
 def test_naive_memory_holds_no_quadratic_buffer():
-    tt = random_function(NAIVE_MAX_N, np.random.default_rng(0))
+    tt = random_function(12, np.random.default_rng(0))
     walsh_naive(make_constant(2, 0))  # numpy and the module are warm, the factors are not
     _character_matrix.cache_clear()
     tracemalloc.start()
@@ -192,9 +208,9 @@ def test_naive_memory_holds_no_quadratic_buffer():
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one 4 MiB float32 chunk of rows (about 4.1 MiB measured); the whole int8
-    # matrix plus a float64 chunk of it would be at least 48 MiB
-    assert peak < 8 << 20, peak
+    # the factors and a few 2^12-entry sign and product blocks (about 0.13 MiB
+    # measured); the whole int8 matrix alone would be 16 MiB
+    assert peak < 1 << 20, peak
     assert current < 1 << 20, current  # only the 64 x 64 factors stay cached
 
 
@@ -215,19 +231,27 @@ def _spoiled_butterfly(real):
     return butterfly
 
 
-def test_literal_sum_independent_of_the_butterfly(monkeypatch, capsys):
-    n = 10
-    bits = _literal_sum_columns(n, 4, 0)
-    expected = reference_naive_columns(n, bits)
+@pytest.mark.parametrize("n, count", [(10, 4), (16, 2)])
+def test_literal_sum_independent_of_the_butterfly(monkeypatch, capsys, n, count):
+    bits = _literal_sum_columns(n, count, 0)
+    if n <= REFERENCE_MAX_N:
+        expected = reference_naive_columns(n, bits)
+    else:  # the unspoiled butterfly, as float64 integers
+        expected = _fwht_columns(bits).astype(np.float64)
+    # verify draws its tables in one block; the spoil negates the first largest |W|
+    drawn = np.abs(_fwht_columns(_random_columns(n, count, np.random.default_rng(0))))
+    p, table = np.unravel_index(int(drawn.argmax()), drawn.shape)
     spoiled = _spoiled_butterfly(walsh._butterfly)
     monkeypatch.setattr(walsh, "_butterfly", spoiled)
     monkeypatch.setattr(djsim, "_butterfly", spoiled)
     assert not np.array_equal(_fwht_columns(bits), expected)  # the spoil takes effect
     assert _naive_columns(n, bits).tobytes() == expected.tobytes()
-    assert cli.main(["verify", "--random", "4", "--n", str(n)]) == 3
+    assert cli.main(["verify", "--random", str(count), "--n", str(n)]) == 3
     out, err = capsys.readouterr()
-    assert out.startswith(f"verified 4 table(s) at n={n}: ") and out.endswith(" (FAIL)\n")
+    assert out.startswith(f"verified {count} table(s) at n={n}: ") and out.endswith(" (FAIL)\n")
     assert err.count("\n") == 1 and err.startswith("error: amplitude routes disagree")
+    assert " route off the literal sum by " in err
+    assert err.endswith(f" on table {table} at p={p}\n")
 
 
 def test_spectrum_validation():
