@@ -160,6 +160,14 @@ def _check_bits(bits: np.ndarray) -> None:
         raise ValueError("table entries must be 0 or 1")
 
 
+def _signs(bits: np.ndarray, dtype: type, v: float = 1) -> np.ndarray:
+    """(-1)^bits * v as a new C-contiguous ``dtype`` array; -2v + v is -v exactly."""
+    out = bits.astype(dtype, order="C")
+    out *= -2 * v
+    out += v
+    return out
+
+
 class TruthTable(_FrozenTable):
     """Truth table of a Boolean function on n bits.
 

@@ -22,6 +22,9 @@ a basis state it yields one constant magnitude, which is computed with the
 butterfly's own rounding, so the state equals the gate-by-gate one bit for
 bit.  The oracle and the final Hadamard layer are applied as gates.
 
+A measurement yields p with probability psi(p)^2; ``sample_measurements``
+draws the counts of many as one multinomial, O(2^n) whatever their number.
+
 Everything here is a pure function; the cost is O(n 2^n) or worse, so no
 quantum query advantage is claimed or implied.
 """
@@ -34,16 +37,13 @@ from typing import Sequence
 import numpy as np
 
 from .boolfn import (MAX_ARITY, TruthTable, _butterfly, _check_arity, _check_bits, _Frozen,
-                     _frozen_array, _short_repr)
+                     _frozen_array, _short_repr, _signs)
 from .walsh import WalshSpectrum, _check_spectra, _fwht_columns, _naive_columns
 
 #: Statevector caps, every arity a table can have: one float64 buffer of 2^n
 #: entries (128 MiB at n = 24), or of 2^{n+1} for the ancilla route.
 STATEVECTOR_MAX_N = MAX_ARITY
 ANCILLA_MAX_N = MAX_ARITY
-
-#: Fewest draws ``sample_measurements`` holds at once (8 MiB of float64).
-_SAMPLE_CHUNK = 1 << 20
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -140,7 +140,7 @@ def _signed_layer(levels: int, bits: np.ndarray) -> np.ndarray:
     v = 1.0
     for _ in range(levels):
         v *= _SQRT1_2
-    return np.ascontiguousarray(np.where(bits, -v, v))
+    return _signs(bits, np.float64, v)
 
 
 def _circuit_columns(n: int, bits: np.ndarray) -> np.ndarray:
@@ -184,6 +184,12 @@ def simulate_with_ancilla(tt: TruthTable) -> Amplitudes:
     return Amplitudes(tt.n, _ancilla_columns(tt.n, tt.bits[:, None])[:, 0])
 
 
+def _walsh_columns(n: int, bits: np.ndarray) -> np.ndarray:
+    w = _fwht_columns(bits)
+    _check_spectra(n, w)
+    return _scaled_spectra(n, w)
+
+
 def _worst_deviation(n: int, first: int, bits: np.ndarray) -> tuple[float, str, int, int]:
     """Largest |route - literal sum| over the tables first, first + 1, ... in ``bits``.
 
@@ -191,24 +197,21 @@ def _worst_deviation(n: int, first: int, bits: np.ndarray) -> tuple[float, str, 
     ``TruthTable``, ``WalshSpectrum`` and ``Amplitudes`` make runs on every column.
     """
     _check_bits(bits)
-    w = _fwht_columns(bits)
-    _check_spectra(n, w)
     direct = _direct_columns(n, bits)
-    routes = {
-        "walsh": _scaled_spectra(n, w),
-        "circuit": _circuit_columns(n, bits),
-        "ancilla": _ancilla_columns(n, bits),
-    }
-    for amps in (direct, *routes.values()):
-        _check_normalized(amps)
+    _check_normalized(direct)
     # a running maximum, replaced only when strictly larger, keeps the first
     # maximum in (route, p, table) order
     worst = (-1.0, "", 0, 0)
-    for route, amps in routes.items():
-        dev = np.abs(amps - direct)
+    for route, columns in (("walsh", _walsh_columns), ("circuit", _circuit_columns),
+                           ("ancilla", _ancilla_columns)):
+        dev = columns(n, bits)
+        _check_normalized(dev)
+        dev -= direct
+        np.abs(dev, out=dev)
         p, col = np.unravel_index(int(dev.argmax()), dev.shape)
         if dev[p, col] > worst[0]:
             worst = (float(dev[p, col]), route, first + int(col), int(p))
+        del dev  # beside the literal sum, one route's block is alive at a time
     return worst
 
 
@@ -220,30 +223,15 @@ def probabilities(a: Amplitudes) -> np.ndarray:
 def sample_measurements(
     a: Amplitudes, shots: int, rng: np.random.Generator
 ) -> MeasurementHistogram:
-    """Draw ``shots`` outcomes by inverse-CDF sampling of the distribution.
+    """Counts of ``shots`` independent measurements, as one multinomial draw.
 
-    A draw d lands on the first outcome k with d < cdf[k].  The draws are
-    taken in chunks of at least 2^n, sorted, and counted per outcome by
-    one binary search of each cdf entry into the chunk, so memory is
-    O(2^n) whatever the shot count.  Chained ``rng.random`` calls continue
-    one stream, so a fixed generator state reproduces the histogram bit
-    for bit, the same as drawing every shot at once and searching each.
+    One ``rng.multinomial`` call over the 2^n outcomes costs O(2^n) whatever
+    the shot count; a fixed generator state reproduces it bit for bit.
+    Dividing by the sum absorbs the 1e-12 normalization slack, and for
+    amplitudes W / 2^n, multiples of 2^-2n, numpy's running sums are exact.
     """
     shots = int(shots)
     if not 0 <= shots < 1 << 63:  # the histogram counts in int64
         raise ValueError(f"shots must be in [0, 2^63 - 1], got {_short_repr(shots)}")
-    size = 1 << a.n
-    cdf = np.cumsum(probabilities(a))
-    chunk = max(size, _SAMPLE_CHUNK)
-    counts = np.zeros(size, dtype=np.int64)
-    buffer = np.empty(min(chunk, shots))
-    for done in range(0, shots, chunk):
-        draws = buffer[: min(chunk, shots - done)]
-        rng.random(out=draws)
-        draws *= cdf[-1]
-        draws.sort()
-        below = np.searchsorted(draws, cdf, side="left")
-        counts[0] += below[0]
-        counts[1:] += np.diff(below)
-        counts[-1] += draws.size - below[-1]  # draws at or past cdf[-1]
-    return MeasurementHistogram(a.n, counts, shots)
+    p = probabilities(a)
+    return MeasurementHistogram(a.n, rng.multinomial(shots, p / p.sum()), shots)

@@ -283,11 +283,14 @@ def render_bars(values: Sequence[float] | np.ndarray, title: str = "",
 
     ``format`` is ``"svg"`` (well-formed XML, exactly one rect per value)
     or ``"ascii"`` (one line per value, at most 256 values).  An all-zero
-    input renders zero-height / zero-width bars.
+    input renders zero-height / zero-width bars; NaN and infinities raise
+    ``ValueError``.
     """
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError("render_bars needs a non-empty 1-d value sequence")
+    if not np.isfinite(vals).all():
+        raise ValueError("render_bars needs finite values")
     if format == "ascii":
         return _render_ascii(vals, title)
     if format == "svg":

@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .boolfn import (BitVector, TruthTable, _butterfly, _check_arity, _check_even_arity,
-                     _frozen_array, _FrozenTable, _tables_per_block)
+                     _frozen_array, _FrozenTable, _signs, _tables_per_block)
 
 
 def _check_spectra(n: int, w: np.ndarray) -> None:
@@ -101,9 +101,7 @@ def _character_matrix(m: int) -> np.ndarray:
     ``MAX_ARITY``), so the largest, at n = 23 and 24, is 4096 x 4096 (64 MiB).
     """
     idx = np.arange(1 << m, dtype=np.uint16)
-    chi = (np.bitwise_count(idx[:, None] & idx[None, :]) & 1).astype(np.float32)
-    chi *= -2
-    chi += 1
+    chi = _signs(np.bitwise_count(idx[:, None] & idx[None, :]) & 1, np.float32)
     chi.setflags(write=False)
     return chi
 
@@ -126,9 +124,8 @@ def _naive_columns(n: int, bits: np.ndarray) -> np.ndarray:
     low = n // 2
     chi_hi, chi_lo = _character_matrix(n - low), _character_matrix(low)
     rows, cols, count = len(chi_hi), len(chi_lo), bits.shape[1]
-    w = bits.reshape(rows, cols, count).swapaxes(1, 2).astype(np.float32, order="C")
-    w *= -2
-    w += 1  # the signs (-1)^f as rows (x_hi, table) by columns x_lo
+    # the signs (-1)^f as rows (x_hi, table) by columns x_lo
+    w = _signs(bits.reshape(rows, cols, count).swapaxes(1, 2), np.float32)
     w = w.reshape(-1, cols) @ chi_lo  # sum over x_lo; chi_lo is symmetric
     w = chi_hi @ w.reshape(rows, -1)  # sum over x_hi: rows p_hi by (table, p_lo)
     w = w.reshape(rows, count, cols).swapaxes(1, 2).astype(np.float64, order="C")
@@ -155,7 +152,7 @@ def _sum_diff(x: np.ndarray, y: np.ndarray) -> None:
 
 def _fwht_columns(bits: np.ndarray) -> np.ndarray:
     """Unvalidated int32 Walsh spectra of the (2^n, B) table columns ``bits``."""
-    w = 1 - 2 * bits.astype(np.int32)
+    w = _signs(bits, np.int32)
     _butterfly(w, _sum_diff)
     return w
 

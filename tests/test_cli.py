@@ -223,6 +223,14 @@ def test_sample_counts(run):
     assert obj["shots"] == 100 and sum(obj["counts"]) == 100
 
 
+def test_sample_largest_shot_count_is_quick(run):
+    start = time.perf_counter()
+    code, out, _ = run(["sample", "--tt", "0110", "--shots", str((1 << 63) - 1)])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert out == f"p,count\n0,0\n1,0\n2,0\n3,{(1 << 63) - 1}\n"
+
+
 @pytest.mark.parametrize("shots", [-1, 1 << 63, 10**40])
 def test_sample_shots_outside_int64_exit_2(run, shots):
     code, out, err = run(["sample", "--tt", "0110", "--shots", str(shots)])

@@ -29,7 +29,6 @@ from bentspectra.boolfn import MAX_ARITY, _butterfly, _random_columns
 from bentspectra.djsim import (
     ANCILLA_MAX_N,
     STATEVECTOR_MAX_N,
-    _SAMPLE_CHUNK,
     _SQRT1_2,
     _ancilla_columns,
     _circuit_columns,
@@ -304,37 +303,38 @@ def test_sampling_deterministic_per_seed():
     assert not np.array_equal(a, c)
 
 
-def reference_sample_counts(amps, shots, seed):
-    """Every draw at once, one binary search per draw."""
-    cdf = np.cumsum(probabilities(amps))
-    draws = np.random.default_rng(seed).random(shots) * cdf[-1]
-    return np.bincount(np.searchsorted(cdf, draws, side="right"), minlength=1 << amps.n)
-
-
 @pytest.mark.parametrize("tt", [
     random_function(5, np.random.default_rng(4)),
     make_inner_product_bent(6),
     make_affine(3, 5, 1),
 ], ids=["random", "bent", "affine"])
-def test_chunked_sampler_matches_unchunked_draws(tt):
+def test_sampler_fits_the_measurement_distribution(tt):
     amps = amplitudes_from_walsh(fwht(tt))
-    for shots in (0, 1, 999, _SAMPLE_CHUNK - 1, _SAMPLE_CHUNK, 2 * _SAMPLE_CHUNK + 3):
-        for seed in (0, 1, 2**40 + 7):
-            counts = sample_measurements(amps, shots, np.random.default_rng(seed)).counts
-            assert np.array_equal(counts, reference_sample_counts(amps, shots, seed)), \
-                (shots, seed)
+    prob = probabilities(amps)
+    support = prob > 0
+    shots = 10**6
+    for seed in (0, 1, 2**40 + 7):
+        counts = sample_measurements(amps, shots, np.random.default_rng(seed)).counts
+        assert counts.sum() == shots and not counts[~support].any(), seed
+        expected = shots * prob[support]
+        stat = float(((counts[support] - expected) ** 2 / expected).sum())
+        df = int(support.sum()) - 1
+        # chi-square(df) has mean df and variance 2 df; 8 sigma is far in its tail
+        assert stat <= df + 8 * np.sqrt(2 * df), (seed, stat)
+        if df == 0:
+            assert counts[5] == shots  # the affine table: every draw lands on k = 5
 
 
 def test_sampler_memory_does_not_grow_with_shots():
     amps = amplitudes_from_walsh(fwht(make_inner_product_bent(4)))
-    shots = 6 * _SAMPLE_CHUNK
     tracemalloc.start()
     try:
-        sample_measurements(amps, shots, np.random.default_rng(0))
+        hist = sample_measurements(amps, 1 << 62, np.random.default_rng(0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 8 * _SAMPLE_CHUNK  # one chunk of float64 draws, plus slack
+    assert hist.counts.sum() == 1 << 62
+    assert peak < 16 * 1024  # a few 16-entry arrays, whatever the shot count
 
 
 def test_sampling_validation():

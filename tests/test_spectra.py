@@ -233,6 +233,10 @@ def test_render_validation():
         render_bars([1.0], "x", format="png")
     with pytest.raises(ValueError):
         render_bars([1.0] * (ASCII_MAX_BARS + 1), "x", format="ascii")
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for fmt in ("ascii", "svg"):
+            with pytest.raises(ValueError, match="^render_bars needs finite values$"):
+                render_bars([bad, 1.0], "x", format=fmt)
     # the same size is fine as SVG
     assert len(_rects(render_bars([1.0] * (ASCII_MAX_BARS + 1), "x", format="svg"))) \
         == ASCII_MAX_BARS + 1
