@@ -187,9 +187,7 @@ def _cmd_gen(args, cap: int) -> int:
     elif args.kind == "ip-bent":
         tt = boolfn.make_inner_product_bent(n)
     elif args.kind == "mm-bent":
-        if n % 2:
-            raise ValueError(f"--kind mm-bent needs an even n, got {n}")
-        half = n // 2
+        half = boolfn._check_even_arity(n) // 2
         tt = boolfn.make_mm_bent(
             half, rng.permutation(1 << half), boolfn.random_function(half, rng)
         )
@@ -238,18 +236,20 @@ def _cmd_sample(args, cap: int) -> int:
     return 0
 
 
+def _bars(report: spectra.SpectrumReport, column: str, fmt: str,
+          title: str | None = None) -> str:
+    """Bars of one report column, titled ``"{generator}: {column}"`` by default."""
+    values = {"walsh": report.walsh, "amplitude": report.amplitudes,
+              "probability": report.probabilities}[column]
+    if title is None:
+        title = f"{report.generator}: {column}" if report.generator else column
+    return spectra.render_bars(values, title, fmt)
+
+
 def _cmd_plot(args, cap: int) -> int:
     report = spectra.read_report(_read_input(args)[0])
     _check_arity(report.n, cap)
-    values = {
-        "walsh": report.walsh,
-        "amplitude": report.amplitudes,
-        "probability": report.probabilities,
-    }[args.column]
-    title = args.title
-    if title is None:
-        title = f"{report.generator}: {args.column}" if report.generator else args.column
-    _write(spectra.render_bars(values, title, args.format), args.out)
+    _write(_bars(report, args.column, args.format, args.title), args.out)
     return 0
 
 
@@ -321,11 +321,7 @@ def _cmd_paper(args, cap: int) -> int:
         csv_path = outdir / f"{stem}.csv"
         svg_path = outdir / f"{stem}.svg"
         csv_path.write_text(spectra.export_csv(report))
-        svg_path.write_text(
-            spectra.render_bars(
-                report.probabilities, f"{description}: probability", "svg"
-            )
-        )
+        svg_path.write_text(_bars(report, "probability", "svg"))
         print(f"wrote {csv_path} and {svg_path}")
     return 0
 

@@ -18,8 +18,8 @@ float64 losslessly.
 from __future__ import annotations
 
 import json
+import re
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -282,9 +282,10 @@ def render_bars(values: Sequence[float] | np.ndarray, title: str = "",
     """Render one bar per value, heights scaled by |value| / max |value|.
 
     ``format`` is ``"svg"`` (well-formed XML, exactly one rect per value)
-    or ``"ascii"`` (one line per value, at most 256 values).  An all-zero
-    input renders zero-height / zero-width bars; NaN and infinities raise
-    ``ValueError``.
+    or ``"ascii"`` (one line per value, at most 256 values).  The SVG title
+    escapes ``&``, ``<`` and ``>``, and each code point outside XML 1.0's
+    ``Char`` production becomes U+FFFD.  An all-zero input renders
+    zero-height / zero-width bars; NaN and infinities raise ``ValueError``.
     """
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim != 1 or vals.size == 0:
@@ -326,9 +327,11 @@ def _render_svg(vals: np.ndarray, title: str) -> str:
         f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">'
     ]
     if title:
+        title = re.sub("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]", "\ufffd", title)
+        title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         out.append(
             f'<text x="{width / 2:.2f}" y="20" text-anchor="middle" '
-            f'font-family="monospace" font-size="14">{escape(title)}</text>'
+            f'font-family="monospace" font-size="14">{title}</text>'
         )
     # every bar of the same |v| shares the text after its x attribute
     magnitudes, inv = _distinct(np.abs(vals))

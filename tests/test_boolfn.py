@@ -174,6 +174,13 @@ def test_inner_product_bent_small():
         make_inner_product_bent(0)
 
 
+@pytest.mark.parametrize("n", range(2, 13, 2))
+def test_inner_product_bent_matches_per_pair_definition(n):
+    want = [sum((x >> (2 * i)) & (x >> (2 * i + 1)) & 1 for i in range(n // 2)) % 2
+            for x in range(1 << n)]
+    assert make_inner_product_bent(n).bits.tolist() == want
+
+
 def test_mm_bent_reduces_to_and():
     assert make_mm_bent(1, [0, 1]) == make_inner_product_bent(2)
 

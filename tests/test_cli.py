@@ -83,6 +83,9 @@ def test_gen_validation_errors(run):
     assert code == 2 and "--k" in err
     code, _, err = run(["gen", "--kind", "ip-bent", "--n", "5"])
     assert code == 2 and "even" in err
+    code, out, err = run(["gen", "--kind", "mm-bent", "--n", "5"])
+    assert code == 2 and out == ""
+    assert err == "error: bent constructions need an even arity, got n = 5\n"
     code, _, err = run(["gen", "--kind", "constant", "--n", "0"])
     assert code == 2
 
@@ -317,6 +320,15 @@ def _json_with(run, edit):
     obj = json.loads(_bent_report(run, "json"))
     edit(obj)
     return json.dumps(obj)
+
+
+def test_plot_svg_of_generator_with_control_char_is_well_formed(run):
+    report = _json_with(run, lambda o: o.__setitem__("generator", "bad\u0001name"))
+    code, out, err = run(["plot", "--format", "svg", "--tt", report])
+    assert code == 0 and err == ""
+    root = ET.fromstring(out)
+    texts = [e.text for e in root.iter() if e.tag.endswith("text")]
+    assert texts == ["bad\ufffdname: probability"]
 
 
 @pytest.mark.parametrize("make_report", [

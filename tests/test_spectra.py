@@ -7,7 +7,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bentspectra import (
@@ -432,6 +432,14 @@ def reference_export_json(report):
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _xml_char(c):
+    """``c`` if XML 1.0's Char production allows it, else U+FFFD."""
+    o = ord(c)
+    allowed = (o in (0x9, 0xA, 0xD) or 0x20 <= o <= 0xD7FF or 0xE000 <= o <= 0xFFFD
+               or 0x10000 <= o <= 0x10FFFF)
+    return c if allowed else "\ufffd"
+
+
 def reference_render_svg(values, title):
     vals = np.asarray(values, dtype=np.float64)
     width, height = 800.0, 360.0
@@ -450,7 +458,8 @@ def reference_render_svg(values, title):
     if title:
         out.append(
             f'<text x="{width / 2:.2f}" y="20" text-anchor="middle" '
-            f'font-family="monospace" font-size="14">{escape(title)}</text>'
+            f'font-family="monospace" font-size="14">'
+            f'{escape("".join(map(_xml_char, title)))}</text>'
         )
     for i, v in enumerate(vals):
         h = 0.0 if peak == 0.0 else plot_h * abs(float(v)) / peak
@@ -525,6 +534,21 @@ def test_writers_match_per_row_reference_fixed(tt):
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300), st.text(max_size=8))
 def test_svg_matches_per_row_reference_on_any_values(values, title):
     assert render_bars(values, title, format="svg") == reference_render_svg(values, title)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(st.one_of(st.characters(exclude_categories=()),
+                         st.sampled_from("\x00\x01\x1f\ud800\udfff\ufffe\uffff&<>"))))
+@example("\x01")
+@example("\x00")
+@example("\ufffe")
+@example("\ud800")
+@example("a]]>b&<c\r\n")
+def test_svg_is_well_formed_for_any_title(title):
+    svg = render_bars([1.0, 0.5], title, format="svg")
+    texts = [e for e in ET.fromstring(svg).iter() if e.tag.endswith("text")]
+    assert len(texts) == (1 if title else 0)
+    assert svg == reference_render_svg([1.0, 0.5], title)
 
 
 @settings(max_examples=40, deadline=None)
