@@ -161,8 +161,13 @@ def _check_bits(bits: np.ndarray) -> None:
 
 
 def _signs(bits: np.ndarray, dtype: type, v: float = 1) -> np.ndarray:
-    """(-1)^bits * v as a new C-contiguous ``dtype`` array; -2v + v is -v exactly."""
-    out = bits.astype(dtype, order="C")
+    """(-1)^bits * v as a new C-contiguous ``dtype`` array."""
+    return _signs_into(np.empty(bits.shape, dtype), bits, v)
+
+
+def _signs_into(out: np.ndarray, bits: np.ndarray, v: float = 1) -> np.ndarray:
+    """Write (-1)^bits * v into ``out`` and return it; -2v + v is -v exactly."""
+    out[...] = bits
     out *= -2 * v
     out += v
     return out
@@ -359,34 +364,42 @@ def _butterfly(a: np.ndarray, pair: Callable[[np.ndarray, np.ndarray], None]) ->
 
     Column b is table b.  Level h hands ``pair`` the rows i and i + h of each
     run of 2h rows; with the table axis innermost each half is h * B
-    contiguous entries (Arndt, *Matters Computational*).  When B is below
-    G = 2^(m//2), those runs are short at the low levels, so, if at least two
-    groups of G rows fit the scratch block, they run in two phases (the
-    four-step split of Bailey, "FFTs in external or hierarchical
-    memory"): each chunk of groups of G rows is copied transposed to
-    (G, groups, B) in one small scratch block, where levels 1 ... G/2 see
-    halves of h * groups * B contiguous entries, and copied back; levels
-    G ... 2^(m-1) then run in place.  Every entry meets the same partner
-    under the same elementwise ``pair`` in the same level order, so the
-    result is bit-identical to one loop over all levels.
+    contiguous entries (Arndt, *Matters Computational*).  No level pairs rows
+    of two different (2^m, B) slices, so each leading slice runs all its
+    levels on its own before the next one starts: at n = 20 the ancilla
+    route's (2, 2^n, 1) state passes through the cache one 8 MiB half at a
+    time, and the pair's temporaries are half a slice, not half the array.
+
+    Within a slice, when B is below G = 2^(m//2), the runs are short at the
+    low levels, so, if at least two groups of G rows fit the scratch block,
+    they run in two phases (the four-step split of Bailey, "FFTs in external
+    or hierarchical memory"): each chunk of groups of G rows is copied
+    transposed to (G, groups, B) in one small scratch block, where levels
+    1 ... G/2 see halves of h * groups * B contiguous entries, and copied
+    back; levels G ... 2^(m-1) then run in place.  Every entry meets the
+    same partner under the same elementwise ``pair`` in the same level
+    order, so the result is bit-identical to one loop over all levels.
     """
     if not a.flags.c_contiguous:
         raise ValueError("the butterfly runs in place on a C-contiguous array")
     size, width = a.shape[-2:]
     group = 1 << (size.bit_length() - 1) // 2
     chunk = _SCRATCH // (group * width)
-    h = 1
-    if width < group and chunk > 1:
-        groups = a.reshape(-1, group, width)
-        scratch = np.empty(min(chunk, len(groups)) * group * width, a.dtype)
-        for lo in range(0, len(groups), chunk):
-            part = groups[lo : lo + chunk]
-            block = scratch[: part.size].reshape(group, -1, width)
-            block[...] = part.transpose(1, 0, 2)
-            _levels(block.reshape(group, -1), pair, 1, group)
-            part[...] = block.transpose(1, 0, 2)
-        h = group
-    _levels(a, pair, h, size)
+    split = width < group and chunk > 1
+    if split:
+        scratch = np.empty(min(chunk, size // group) * group * width, a.dtype)
+    for sub in a.reshape(-1, size, width):
+        h = 1
+        if split:
+            groups = sub.reshape(-1, group, width)
+            for lo in range(0, len(groups), chunk):
+                part = groups[lo : lo + chunk]
+                block = scratch[: part.size].reshape(group, -1, width)
+                block[...] = part.transpose(1, 0, 2)
+                _levels(block.reshape(group, -1), pair, 1, group)
+                part[...] = block.transpose(1, 0, 2)
+            h = group
+        _levels(sub, pair, h, size)
 
 
 def _xor_pair(x: np.ndarray, y: np.ndarray) -> None:

@@ -37,8 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from .boolfn import (MAX_ARITY, TruthTable, _butterfly, _check_arity, _check_bits, _Frozen,
-                     _frozen_array, _short_repr, _signs)
-from .walsh import WalshSpectrum, _check_spectra, _fwht_columns, _naive_columns
+                     _frozen_array, _short_repr, _signs_into)
+from .walsh import WalshSpectrum, _check_spectra, _fwht_columns, _naive_columns, _square_sums
 
 #: Statevector caps, every arity a table can have: one float64 buffer of 2^n
 #: entries (128 MiB at n = 24), or of 2^{n+1} for the ancilla route.
@@ -53,7 +53,7 @@ _NORM_TOL = 1e-12
 
 def _check_normalized(amps: np.ndarray) -> None:
     """Squares sum to 1 within 1e-12, per table column of a (2^n, B) block too."""
-    if not np.all(np.abs((amps * amps).sum(axis=0) - 1.0) <= _NORM_TOL):  # NaN fails too
+    if not np.all(np.abs(_square_sums(amps) - 1.0) <= _NORM_TOL):  # NaN fails too
         raise ValueError("amplitudes are not normalized")
 
 
@@ -130,8 +130,8 @@ def _hadamard_pair(x: np.ndarray, y: np.ndarray) -> None:
     y[:] = diff
 
 
-def _signed_layer(levels: int, bits: np.ndarray) -> np.ndarray:
-    """(-1)^f(x) times the constant entry v of H^levels applied to a basis state.
+def _signed_layer(levels: int, bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write (-1)^f(x) times the constant entry v of H^levels on a basis state into ``out``.
 
     The butterfly maps a constant entry v to (v + 0) * S and (v - 0) * S at
     each level, so v is the running product of ``levels`` factors S = 1/sqrt(2),
@@ -140,11 +140,11 @@ def _signed_layer(levels: int, bits: np.ndarray) -> np.ndarray:
     v = 1.0
     for _ in range(levels):
         v *= _SQRT1_2
-    return _signs(bits, np.float64, v)
+    return _signs_into(out, bits, v)
 
 
 def _circuit_columns(n: int, bits: np.ndarray) -> np.ndarray:
-    state = _signed_layer(n, bits)
+    state = _signed_layer(n, bits, np.empty(bits.shape))
     _butterfly(state, _hadamard_pair)
     return state
 
@@ -163,12 +163,15 @@ def simulate_circuit(tt: TruthTable) -> Amplitudes:
 def _ancilla_columns(n: int, bits: np.ndarray) -> np.ndarray:
     # H^(n+1)|0..0,1> is v on |x,0> and -v on |x,1>; the bit-flip oracle swaps
     # the two where f(x) = 1, so |x,0> holds (-1)^f(x) v and |x,1> its negation.
+    # Every step writes into the state itself, which is all this route allocates.
     state = np.empty((2, *bits.shape))
     low, high = state
-    low[...] = _signed_layer(n + 1, bits)
+    _signed_layer(n + 1, bits, low)
     np.negative(low, out=high)
     _butterfly(state, _hadamard_pair)  # H on qubits 0..n-1 of both ancilla halves
-    return (low - high) * _SQRT1_2
+    low -= high  # discarding the ancilla projects onto |->: (low - high) / sqrt(2)
+    low *= _SQRT1_2
+    return low
 
 
 def simulate_with_ancilla(tt: TruthTable) -> Amplitudes:

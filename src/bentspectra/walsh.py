@@ -35,12 +35,22 @@ from .boolfn import (BitVector, TruthTable, _butterfly, _check_arity, _check_eve
                      _frozen_array, _FrozenTable, _signs, _tables_per_block)
 
 
+def _square_sums(a: np.ndarray) -> np.ndarray:
+    """Sum of squares down axis 0, per column of a block too, in float64 without a temporary."""
+    return np.einsum("i...,i...->...", a, a, dtype=np.float64)
+
+
 def _check_spectra(n: int, w: np.ndarray) -> None:
-    """What every genuine spectrum, or (2^n, B) block of spectrum columns, satisfies."""
-    size = 1 << n
-    if np.any(np.abs(w) > size) or np.any((w - size) & 1):
+    """What every genuine spectrum, or (2^n, B) block of spectrum columns, satisfies.
+
+    The range is checked first, so each square is an integer of at most 2^48
+    and the float64 sums are exact while they stay below 2^53; a sum that
+    rounds is at least 2^53, past 4^n, so Parseval is decided exactly.
+    """
+    size = 1 << n  # even, so the parity check is the low bit of every entry
+    if w.min() < -size or w.max() > size or np.bitwise_or.reduce(w, axis=None) & 1:
         raise ValueError(f"coefficients must be in [-{size}, {size}] with its parity")
-    if np.any((w.astype(np.int64) ** 2).sum(axis=0) != size * size):
+    if np.any(_square_sums(w) != size * size):
         raise ValueError("coefficient squares must sum to 4^n (Parseval)")
 
 

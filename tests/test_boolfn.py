@@ -417,6 +417,18 @@ def test_butterfly_matches_one_loop_at_n20(pair):
     _assert_butterflies_match(pair, (1 << 20, 1), seed=20)
 
 
+@pytest.mark.parametrize("pair", [_sum_diff, _hadamard_pair, _xor_pair])
+@pytest.mark.parametrize("m", range(1, 15))
+def test_butterfly_runs_each_leading_slice_on_its_own(pair, m):
+    for width in (1, 9):
+        a = _butterfly_input(pair, (3, 1 << m, width), seed=m * 100 + width)
+        expected = a.copy()
+        for sub in expected:
+            _butterfly(sub, pair)
+        _butterfly(a, pair)
+        assert a.tobytes() == expected.tobytes(), width
+
+
 def test_butterfly_refuses_non_contiguous_arrays():
     block = np.asfortranarray(np.arange(8, dtype=np.int32).reshape(4, 2))
     with pytest.raises(ValueError, match="C-contiguous"):

@@ -582,3 +582,18 @@ def test_pipeline_through_subprocesses():
     )
     root = ET.fromstring(plot.stdout)
     assert len([e for e in root.iter() if e.tag.endswith("rect")]) == 16
+
+
+@pytest.mark.parametrize("title", ["k9", "é"])
+def test_svg_plot_is_ascii_under_the_c_locale(run, tmp_path, title):
+    report = tmp_path / "report.csv"
+    run(["dj", "--tt", "0001000100011110", "--out", str(report)])
+    argv = ["plot", "--format", "svg", "--title", title, "--in", str(report)]
+    plot = subprocess.run(
+        [sys.executable, "-m", "bentspectra", *argv], capture_output=True,
+        env={**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+    )
+    assert plot.returncode == 0 and plot.stderr == b""
+    # the C locale decodes argv as ASCII, each other byte to a lone surrogate
+    argv[4] = os.fsencode(title).decode("ascii", "surrogateescape")
+    assert plot.stdout.decode("ascii") == run(argv)[1]

@@ -206,15 +206,28 @@ def test_ancilla_route_transforms_both_ancilla_halves(monkeypatch):
     assert shapes == [(2, 8, 5)]
 
 
-def test_ancilla_route_memory_is_twice_its_state():
-    tt = random_function(18, np.random.default_rng(18))
+#: Room for array headers and other small objects beside the float64 buffers.
+_SMALL = 64 << 10
+
+
+def _route_peak(route, n):
+    tt = random_function(n, np.random.default_rng(n))
     tracemalloc.start()
     try:
-        simulate_with_ancilla(tt)
-        _, peak = tracemalloc.get_traced_memory()
+        route(tt)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 8 * (2 << 18)  # two float64 buffers of 2^(n+1) entries
+
+
+def test_circuit_route_memory_is_its_state_and_the_result():
+    # the 2^n-entry state and the Amplitudes copy; the norm check adds no third
+    assert _route_peak(simulate_circuit, 18) <= 8 * (2 << 18) + _SMALL
+
+
+def test_ancilla_route_memory_is_its_state_and_the_result():
+    # the 2^(n+1)-entry state, projected in place, and the 2^n-entry Amplitudes copy
+    assert _route_peak(simulate_with_ancilla, 18) <= 8 * (3 << 18) + _SMALL
 
 
 @given(truth_tables(max_n=8))

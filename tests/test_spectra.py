@@ -1,6 +1,7 @@
 """Report exports (CSV/JSON), parsing round trips, and bar rendering."""
 
 import json
+import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
@@ -158,6 +159,16 @@ def test_report_validation():
         read_report("")
     with pytest.raises(ValueError):
         read_report("a,b\n1,2\n")
+
+
+def test_report_of_a_wrapping_spectrum_rejected():
+    # export_csv of the spectrum that an int32 np.abs and an int64 square sum let
+    # through: |-2^31| wraps to -2^31, and four squares 2^62 sum to 0 (mod 2^64)
+    walsh = [-2**31] * 4 + [4] * 4
+    text = "p,walsh,amplitude,probability\n" + "".join(
+        f"{p},{w},{_fmt17(w / 8)},{_fmt17((w / 8) ** 2)}\n" for p, w in enumerate(walsh))
+    with pytest.raises(ValueError, match=r"^coefficients must be in \[-8, 8\] with its parity$"):
+        read_report(text)
 
 
 def test_walsh_and_histogram_exports():
@@ -456,10 +467,11 @@ def reference_render_svg(values, title):
         f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">'
     ]
     if title:
+        text = escape("".join(map(_xml_char, title)))
         out.append(
             f'<text x="{width / 2:.2f}" y="20" text-anchor="middle" '
             f'font-family="monospace" font-size="14">'
-            f'{escape("".join(map(_xml_char, title)))}</text>'
+            f'{text.encode("ascii", "xmlcharrefreplace").decode("ascii")}</text>'
         )
     for i, v in enumerate(vals):
         h = 0.0 if peak == 0.0 else plot_h * abs(float(v)) / peak
@@ -548,7 +560,14 @@ def test_svg_is_well_formed_for_any_title(title):
     svg = render_bars([1.0, 0.5], title, format="svg")
     texts = [e for e in ET.fromstring(svg).iter() if e.tag.endswith("text")]
     assert len(texts) == (1 if title else 0)
+    assert svg.isascii()
     assert svg == reference_render_svg([1.0, 0.5], title)
+
+
+def test_title_filter_is_xml_char_on_every_code_point():
+    everything = "".join(map(chr, range(0x110000)))
+    assert re.sub(spectra._NOT_XML_CHAR, "\ufffd", everything) \
+        == "".join(map(_xml_char, everything))
 
 
 @settings(max_examples=40, deadline=None)

@@ -254,6 +254,39 @@ def test_literal_sum_independent_of_the_butterfly(monkeypatch, capsys, n, count)
     assert err.endswith(f" on table {table} at p={p}\n")
 
 
+def test_spectrum_checks_do_not_wrap():
+    # np.abs(-2^31) is -2^31 in int32, and four int64 squares 2^62 sum to 0 (mod 2^64)
+    with pytest.raises(ValueError, match=r"must be in \[-8, 8\]"):
+        WalshSpectrum(3, [-2**31] * 4 + [4] * 4)
+    # 2^20 + 1 squares 4^22 sum to 2^64 + 4^22, which int64 wraps to 4^22
+    w = np.zeros(1 << 22, np.int32)
+    w[: (1 << 20) + 1] = 1 << 22
+    with pytest.raises(ValueError, match="Parseval"):
+        WalshSpectrum(22, w)
+
+
+@pytest.mark.parametrize("n", [1, 5, 12, 17])
+def test_square_sums_are_the_exact_integer_sums(n):
+    # 2^n squares of at most 4^n sum to at most 8^n <= 2^51, so the float64
+    # einsum must equal the int64 sum exactly
+    w = np.random.default_rng(n).integers(-(1 << n), (1 << n) + 1, (1 << n, 3), dtype=np.int32)
+    w[:, 2] = 1 << n
+    assert walsh._square_sums(w).tolist() == (w.astype(np.int64) ** 2).sum(axis=0).tolist()
+    assert walsh._square_sums(w[:, 0]) == (w[:, 0].astype(np.int64) ** 2).sum()
+
+
+def test_spectrum_validation_makes_no_full_size_temporary():
+    w = fwht(random_function(20, np.random.default_rng(20))).coeffs
+    tracemalloc.start()
+    try:
+        WalshSpectrum(20, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the frozen copy, plus the float64 sum's small cast buffers (about 0.13 MiB)
+    assert peak - w.nbytes < 1 << 20, peak
+
+
 def test_spectrum_validation():
     with pytest.raises(ValueError):
         WalshSpectrum(2, [0, 0, 0])
