@@ -23,6 +23,7 @@ binary; pass an explicit ``n`` to force the hex reading instead.
 from __future__ import annotations
 
 import json
+import operator
 import string
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -41,8 +42,11 @@ def _short_repr(value) -> str:
 
 
 def _check_arity(n: int) -> int:
-    n = int(n)
-    if not 1 <= n <= MAX_ARITY:
+    try:
+        n = operator.index(n)  # ints and numpy integers; any other value fails below
+    except TypeError:
+        pass
+    if type(n) is not int or not 1 <= n <= MAX_ARITY:
         raise ValueError(f"arity must be in [1, {MAX_ARITY}], got {_short_repr(n)}")
     return n
 
@@ -95,7 +99,9 @@ class _Frozen:
     """Base of the immutable value types.
 
     ``__init__`` stores each attribute once through ``_set``; afterwards no
-    attribute can be rebound or deleted.
+    attribute can be rebound or deleted.  Two values are equal when they have
+    the same type and equal ``__slots__`` attributes, arrays compared entry by
+    entry, and equal values hash alike (-0.0 and 0.0 included).
     """
 
     __slots__ = ()
@@ -110,22 +116,19 @@ class _Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-
-class _FrozenTable(_Frozen):
-    """Immutable value compared and hashed by n and the array named ``_ARRAY``."""
-
-    __slots__ = ()
-    _ARRAY: str
+    def _fields(self) -> list:
+        return [getattr(self, name) for name in self.__slots__]
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, type(self)):
-            return self.n == other.n and np.array_equal(
-                getattr(self, self._ARRAY), getattr(other, self._ARRAY)
-            )
-        return NotImplemented
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in zip(self._fields(), other._fields()))
 
     def __hash__(self) -> int:
-        return hash((self.n, getattr(self, self._ARRAY).tobytes()))
+        # a + 0 maps -0.0 to 0.0, so the bytes of equal arrays are equal
+        return hash(tuple((a + 0).tobytes() if isinstance(a, np.ndarray) else a
+                          for a in self._fields()))
 
 
 def _frozen_array(values, n: int, dtype: type, what: str) -> np.ndarray:
@@ -173,7 +176,7 @@ def _signs_into(out: np.ndarray, bits: np.ndarray, v: float = 1) -> np.ndarray:
     return out
 
 
-class TruthTable(_FrozenTable):
+class TruthTable(_Frozen):
     """Truth table of a Boolean function on n bits.
 
     The table is immutable; ``bits`` is a read-only uint8 array of length
@@ -181,7 +184,6 @@ class TruthTable(_FrozenTable):
     """
 
     __slots__ = ("n", "bits")
-    _ARRAY = "bits"
 
     def __init__(self, n: int, bits: Sequence[int] | np.ndarray):
         n = _check_arity(n)
@@ -317,7 +319,7 @@ def _bits_from_hex(text: str, size: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="big")[:size]
 
 
-class AnfPolynomial(_FrozenTable):
+class AnfPolynomial(_Frozen):
     """Algebraic normal form: XOR of AND-monomials.
 
     ``coefficients[m]`` is the coefficient of the monomial prod_{j: m_j=1} x_j,
@@ -326,7 +328,6 @@ class AnfPolynomial(_FrozenTable):
     """
 
     __slots__ = ("n", "coefficients", "degree")
-    _ARRAY = "coefficients"
 
     def __init__(self, n: int, coefficients: Sequence[int] | np.ndarray):
         n = _check_arity(n)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -239,15 +240,26 @@ def _cmd_sample(args, cap: int) -> int:
 def _bars(report: spectra.SpectrumReport, column: str, fmt: str,
           title: str | None = None) -> str:
     """Bars of one report column, titled ``"{generator}: {column}"`` by default."""
-    values = {"walsh": report.walsh, "amplitude": report.amplitudes,
-              "probability": report.probabilities}[column]
+    values = getattr(report, {"walsh": "walsh", "amplitude": "amplitudes",
+                              "probability": "probabilities"}[column])
     if title is None:
         title = f"{report.generator}: {column}" if report.generator else column
     return spectra.render_bars(values, title, fmt)
 
 
+def _plot_input(args, cap: int) -> str:
+    """The report text; a CSV report too large to draw is refused before it is read."""
+    text = _read_input(args)[0]
+    rows = text.count(",") // 3 - 1  # exact for a valid CSV report; a JSON one is read first
+    if rows >= 2 and not rows & (rows - 1) and not re.match(r"\s*\{", text):
+        _check_arity(rows.bit_length() - 1, cap)
+        spectra._check_bar_count(rows, args.format)
+    return text
+
+
 def _cmd_plot(args, cap: int) -> int:
-    report = spectra.read_report(_read_input(args)[0])
+    # no caller name holds the text, so the reader can free it once it has a stripped copy
+    report = spectra.read_report(_plot_input(args, cap))
     _check_arity(report.n, cap)
     _write(_bars(report, args.column, args.format, args.title), args.out)
     return 0

@@ -36,32 +36,31 @@ _CSV_HEADER = "p,walsh,amplitude,probability"
 class SpectrumReport(_Frozen):
     """Per-outcome rows (walsh, amplitude, probability) plus run metadata.
 
-    Every column comes from ``spectrum``: the amplitude is W / 2^n, the
-    probability its square, and the classification that of W.
+    Only the W column is stored.  The amplitude column W / 2^n and the
+    probability column, its square, are computed on each access as new
+    read-only arrays, and the classification is that of W.
     """
 
-    __slots__ = ("n", "walsh", "amplitudes", "probabilities", "generator", "seed",
-                 "classification")
+    __slots__ = ("n", "walsh", "generator", "seed", "classification")
 
     def __init__(self, spectrum: WalshSpectrum, generator: str = "",
                  seed: int | None = None):
-        a = spectrum.coeffs / float(1 << spectrum.n)
-        p = a * a
-        for arr in (a, p):
-            arr.setflags(write=False)
-        self._set(n=spectrum.n, walsh=spectrum.coeffs, amplitudes=a, probabilities=p,
-                  generator=generator, seed=None if seed is None else int(seed),
+        self._set(n=spectrum.n, walsh=spectrum.coeffs, generator=generator,
+                  seed=None if seed is None else int(seed),
                   classification=classify(spectrum))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SpectrumReport):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and np.array_equal(self.walsh, other.walsh)
-            and self.generator == other.generator
-            and self.seed == other.seed
-        )
+    @property
+    def amplitudes(self) -> np.ndarray:
+        a = self.walsh / float(1 << self.n)
+        a.setflags(write=False)
+        return a
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        p = self.walsh / float(1 << self.n)
+        np.square(p, out=p)
+        p.setflags(write=False)
+        return p
 
     def __repr__(self) -> str:
         return f"SpectrumReport(n={self.n}, generator={self.generator!r})"
@@ -300,9 +299,15 @@ def render_bars(values: Sequence[float] | np.ndarray, title: str = "",
     raise ValueError(f"unknown render format: {format!r}")
 
 
+def _check_bar_count(count: int, format: str) -> None:
+    """Refuse more bars than ``format`` draws."""
+    cap = {"ascii": ASCII_MAX_BARS, "svg": SVG_MAX_BARS}[format]
+    if count > cap:
+        raise ValueError(f"{format} rendering is capped at {cap} bars")
+
+
 def _render_ascii(vals: np.ndarray, title: str) -> str:
-    if vals.size > ASCII_MAX_BARS:
-        raise ValueError(f"ascii rendering is capped at {ASCII_MAX_BARS} bars")
+    _check_bar_count(vals.size, "ascii")
     peak = float(np.abs(vals).max())
     lines = [title] if title else []
     for i, v in enumerate(vals):
@@ -317,8 +322,7 @@ _NOT_XML_CHAR = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 
 
 def _render_svg(vals: np.ndarray, title: str) -> str:
-    if vals.size > SVG_MAX_BARS:
-        raise ValueError(f"svg rendering is capped at {SVG_MAX_BARS} bars")
+    _check_bar_count(vals.size, "svg")
     width, height = 800.0, 360.0
     left, right, top, bottom = 40.0, 10.0, 30.0, 20.0
     plot_w = width - left - right

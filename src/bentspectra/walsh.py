@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .boolfn import (BitVector, TruthTable, _butterfly, _check_arity, _check_even_arity,
-                     _frozen_array, _FrozenTable, _signs, _tables_per_block)
+                     _Frozen, _frozen_array, _signs, _tables_per_block)
 
 
 def _square_sums(a: np.ndarray) -> np.ndarray:
@@ -54,7 +54,7 @@ def _check_spectra(n: int, w: np.ndarray) -> None:
         raise ValueError("coefficient squares must sum to 4^n (Parseval)")
 
 
-class WalshSpectrum(_FrozenTable):
+class WalshSpectrum(_Frozen):
     """Signed-integer Walsh coefficients of an n-bit function.
 
     Construction enforces what every genuine spectrum satisfies: each
@@ -63,7 +63,6 @@ class WalshSpectrum(_FrozenTable):
     """
 
     __slots__ = ("n", "coeffs")
-    _ARRAY = "coeffs"
 
     def __init__(self, n: int, coeffs: Sequence[int] | np.ndarray):
         n = _check_arity(n)

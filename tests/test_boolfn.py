@@ -55,6 +55,33 @@ def test_bitvector_validation():
         v.bit(4)
 
 
+def test_bitvector_is_an_index():
+    assert "abcd"[BitVector(2, 3)] == "d"
+    assert np.arange(10, 14)[BitVector(2, 1)] == 11
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TruthTable(2.7, [0, 1, 1, 0]),
+    lambda: TruthTable(2.0, [0, 1, 1, 0]),
+    lambda: TruthTable("2", [0, 1, 1, 0]),
+    lambda: TruthTable(np.float64(2), [0, 1, 1, 0]),
+    lambda: make_constant(3.9, 1),
+    lambda: BitVector(4.5, 3),
+    lambda: random_function(None, np.random.default_rng(0)),
+], ids=["float", "integral-float", "string", "numpy-float", "make-constant", "bitvector",
+        "none"])
+def test_arity_must_be_an_integer(build):
+    with pytest.raises(ValueError, match=r"^arity must be in \[1, 24\], got "):
+        build()
+
+
+def test_numpy_integer_arities_are_accepted():
+    tt = TruthTable(np.int64(2), [0, 1, 1, 0])
+    assert tt == TruthTable(2, [0, 1, 1, 0]) and type(tt.n) is int
+    assert make_constant(np.uint8(3), 1).n == 3
+    assert BitVector(np.int32(4), 9).bit(3) == 1
+
+
 def test_dot_examples():
     assert dot(BitVector(4, 9), BitVector(4, 9)) == 0  # 1 XOR 1
     assert dot(BitVector(4, 9), BitVector(4, 1)) == 1
@@ -114,6 +141,9 @@ def test_int_round_trip():
     assert tt.to_int() == 0b1000
     for mask in range(16):
         assert TruthTable.from_int(2, mask).to_int() == mask
+    for mask in (-1, 16):
+        with pytest.raises(ValueError, match="mask out of range for a 4-entry table"):
+            TruthTable.from_int(2, mask)
 
 
 def test_from_function():
@@ -355,6 +385,11 @@ def test_anf_coefficient_round_trip():
         assert to_anf(from_anf(a)) == a
 
 
+def test_anf_coefficients_are_bits():
+    with pytest.raises(ValueError, match="coefficients must be 0 or 1"):
+        AnfPolynomial(2, [0, 2, 1, 0])
+
+
 # ---------------------------------------------------------------------------
 # The butterfly
 # ---------------------------------------------------------------------------
@@ -471,6 +506,8 @@ def test_hex_string_layout():
     assert tt.to_hex() == "8"
     tt = TruthTable(3, [1, 1, 1, 1, 0, 0, 0, 1])
     assert tt.to_hex() == "f1"
+    with pytest.raises(ValueError, match="hex form needs at least 4 table entries"):
+        TruthTable(1, [0, 1]).to_hex()
 
 
 def test_hex_round_trip_various_n():

@@ -25,6 +25,7 @@ from bentspectra import (
     random_function,
     simulate_circuit,
     simulate_with_ancilla,
+    spectra,
 )
 from bentspectra.cli import main
 
@@ -289,6 +290,42 @@ def test_plot_ascii_from_dj_csv(run):
     assert all(line.endswith("#" * 60) for line in lines[1:])
 
 
+def _refuse_to_read(monkeypatch):
+    def read_report(text):
+        raise AssertionError("plot read the whole report")
+
+    monkeypatch.setattr(spectra, "read_report", read_report)
+
+
+def test_plot_refuses_an_over_cap_csv_before_reading_it(run, monkeypatch, tmp_path):
+    report = tmp_path / "r.csv"
+    assert run(["dj", "--tt", "01" * 256, "--out", str(report)])[0] == 0
+    _refuse_to_read(monkeypatch)
+    code, out, err = run(["plot", "--in", str(report)])
+    assert (code, out, err) == (2, "", "error: ascii rendering is capped at 256 bars\n")
+    rows = "p,walsh,amplitude,probability\n" + "0,0,0,0\n" * (1 << 21)  # invalid, too
+    code, out, err = run(["plot", "--format", "svg"], stdin=rows)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "warning: n = 21 exceeds the soft limit of 20; expect large outputs and slow transforms",
+        "error: svg rendering is capped at 1048576 bars",
+    ]
+    monkeypatch.setenv("BENTSPECTRA_MAX_N", "8")
+    code, _, err = run(["plot", "--in", str(report), "--format", "svg"])
+    assert code == 2 and err == "error: n = 9 is outside the configured cap [1, 8]\n"
+
+
+def test_plot_reads_a_json_or_within_cap_report_in_full(run, monkeypatch):
+    reads = []
+    monkeypatch.setattr(spectra, "read_report", lambda text: reads.append(text) or report)
+    report = spectra.make_report(TruthTable(9, [0] * 512))
+    _, csv, _ = run(["dj", "--tt", "0" * 512])
+    _, json_text, _ = run(["dj", "--tt", "0" * 512, "--format", "json"])
+    assert run(["plot", "--format", "svg", "--tt", csv])[0] == 0
+    assert run(["plot", "--tt", json_text])[0] == 2
+    assert reads == [csv, json_text]
+
+
 def test_plot_svg_from_dj_json(run):
     _, report, _ = run(["dj", "--tt", "0101010110101010", "--format", "json"])
     code, out, _ = run(["plot", "--format", "svg", "--title", "k9"], stdin=report)
@@ -391,6 +428,13 @@ def test_verify_inline_and_random(run):
 
 def test_verify_requires_n_with_random(run):
     assert run(["verify", "--random", "5"])[0] == 2
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_random_needs_a_positive_count(run, count):
+    code, out, err = run(["verify", "--random", count, "--n", "4"])
+    assert code == 2 and out == ""
+    assert err == f"error: --random needs a positive count, got {count}\n"
 
 
 @pytest.mark.parametrize("source", [["--tt", "0110"], ["--in", "table.txt"]], ids=["tt", "in"])

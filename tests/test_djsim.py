@@ -358,6 +358,8 @@ def test_sampling_validation():
         MeasurementHistogram(2, [1, 0, 0, 0], 2)
     with pytest.raises(ValueError):
         MeasurementHistogram(2, [1, 0, 0], 1)
+    with pytest.raises(ValueError, match="counts must be non-negative"):
+        MeasurementHistogram(2, [3, -1, 0, 0], 2)
 
 
 def test_amplitudes_must_be_normalized():

@@ -33,6 +33,7 @@ from bentspectra import (
 from bentspectra import spectra
 from bentspectra.spectra import (
     ASCII_MAX_BARS,
+    SVG_MAX_BARS,
     export_histogram_csv,
     export_histogram_json,
     export_walsh_csv,
@@ -251,6 +252,12 @@ def test_render_validation():
     # the same size is fine as SVG
     assert len(_rects(render_bars([1.0] * (ASCII_MAX_BARS + 1), "x", format="svg"))) \
         == ASCII_MAX_BARS + 1
+
+
+@pytest.mark.parametrize("fmt, cap", [("ascii", ASCII_MAX_BARS), ("svg", SVG_MAX_BARS)])
+def test_render_refuses_more_bars_than_its_cap(fmt, cap):
+    with pytest.raises(ValueError, match=f"^{fmt} rendering is capped at {cap} bars$"):
+        render_bars(np.zeros(cap + 1), "x", format=fmt)
 
 
 def test_render_deterministic():

@@ -1,4 +1,6 @@
-"""The six array-backed value types: immutability, lossless construction, validators."""
+"""The six array-backed value types: immutability, equality, lossless construction, validators."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from bentspectra import (
     TruthTable,
     WalshSpectrum,
     make_report,
+    random_function,
 )
 from bentspectra.boolfn import _check_bits, _random_columns
 from bentspectra.djsim import _check_normalized, _scaled_spectra
@@ -39,6 +42,77 @@ def test_values_are_frozen(make, arrays):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = arr[1]
+
+
+@pytest.mark.parametrize("make", [make for make, _ in VALUES.values()], ids=VALUES.keys())
+def test_equal_values_hash_alike(make):
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b) and len({a, b}) == 1
+    assert a.__eq__(object()) is NotImplemented and a != object()
+
+
+def test_values_of_different_types_are_never_equal():
+    values = [make() for make, _ in VALUES.values()]  # the table and the ANF share n and entries
+    for i, a in enumerate(values):
+        for j, b in enumerate(values):
+            assert (a == b) == (i == j), (a, b)
+
+
+def test_values_differing_in_one_field_are_unequal():
+    tt = TruthTable(2, [0, 0, 0, 1])
+    assert TruthTable(2, [0, 0, 1, 0]) != tt
+    assert MeasurementHistogram(2, [1, 2, 3, 4], 10) != MeasurementHistogram(2, [2, 1, 3, 4], 10)
+    assert make_report(tt, "g", 1) != make_report(tt, "g", 2)
+    assert make_report(tt, "g", 1) != make_report(tt, "h", 1)
+    assert len({make_report(tt, "g", 1), make_report(tt, "g", 1), make_report(tt)}) == 2
+
+
+def test_signed_zeros_are_one_value():
+    neg, pos = Amplitudes(1, [-0.0, 1.0]), Amplitudes(1, [0.0, 1.0])
+    assert neg.amps.tobytes() != pos.amps.tobytes()
+    assert neg == pos and hash(neg) == hash(pos)
+
+
+def test_a_set_of_equal_tables_holds_one():
+    tables = {TruthTable(3, [0, 1, 1, 0, 1, 0, 0, 1]) for _ in range(4)}
+    tables.add(TruthTable.from_int(3, 0b10010110))
+    assert len(tables) == 1
+
+
+def test_reprs():
+    assert repr(TruthTable(2, [0, 1, 1, 0])) == "TruthTable(n=2, tt='0110')"
+    assert repr(TruthTable(8, [1] * 256)) == f"TruthTable(n=8, tt='{'f' * 32}...')"
+    assert repr(AnfPolynomial(2, [0, 1, 1, 1])) == (
+        "AnfPolynomial(n=2, degree=2, monomials=(1, 2, 3))")
+    assert repr(WalshSpectrum(2, [2, 2, 2, -2])) == "WalshSpectrum(n=2, coeffs=[2, 2, 2, -2])"
+    assert repr(WalshSpectrum(4, [16] + [0] * 15)) == (
+        "WalshSpectrum(n=4, coeffs=[16, 0, 0, 0, 0, 0, 0, 0, ...])")
+    assert repr(Amplitudes(2, [0.5, 0.5, 0.5, -0.5])) == "Amplitudes(n=2, norm2=1.000000000000)"
+    assert repr(MeasurementHistogram(2, [1, 2, 3, 4], 10)) == "MeasurementHistogram(n=2, shots=10)"
+    assert repr(make_report(TruthTable(2, [0, 0, 0, 1]), "g")) == (
+        "SpectrumReport(n=2, generator='g')")
+
+
+def test_report_computes_its_float_columns_on_access():
+    report = make_report(random_function(6, np.random.default_rng(2)))
+    a = report.walsh / 64.0
+    for name, expected in (("amplitudes", a), ("probabilities", a * a)):
+        first, second = getattr(report, name), getattr(report, name)
+        assert first is not second and not first.flags.writeable
+        assert first.tobytes() == second.tobytes() == expected.tobytes()
+
+
+def test_report_keeps_only_its_walsh_column():
+    tt = random_function(20, np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        report = make_report(tt)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.walsh.nbytes == 4 << 20
+    assert kept <= (4 << 20) + (64 << 10)  # the int32 W column; 20 MiB with stored floats
 
 
 @pytest.mark.parametrize("build", [
