@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import json
 import operator
+import os
 import string
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -51,6 +53,14 @@ def _check_arity(n: int) -> int:
     return n
 
 
+def _index(value, what: str) -> int:
+    """``operator.index(value)``: ints and numpy integers pass, any other value raises ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {_short_repr(value)}") from None
+
+
 @dataclass(frozen=True)
 class BitVector:
     """An n-bit vector (k_{n-1} ... k_0) packed into an unsigned integer."""
@@ -59,7 +69,8 @@ class BitVector:
     value: int
 
     def __post_init__(self):
-        _check_arity(self.n)
+        object.__setattr__(self, "n", _check_arity(self.n))
+        object.__setattr__(self, "value", _index(self.value, "value"))
         if not 0 <= self.value < (1 << self.n):
             raise ValueError(f"value {self.value} out of range for {self.n} bits")
 
@@ -82,7 +93,7 @@ def _as_value(k: BitVector | int, n: int, name: str = "k") -> int:
         if k.n != n:
             raise ValueError(f"arity mismatch: {name}.n = {k.n}, expected {n}")
         return k.value
-    k = int(k)
+    k = _index(k, name)
     if not 0 <= k < (1 << n):
         raise ValueError(f"{name} = {k} out of range for {n} bits")
     return k
@@ -345,22 +356,96 @@ class AnfPolynomial(_Frozen):
         return f"AnfPolynomial(n={self.n}, degree={self.degree}, monomials={self.monomials()!r})"
 
 
-#: Entries of the transposed block that the low butterfly levels run on.
-_SCRATCH = 1 << 15
+#: Entries of one worker's scratch block, where each pass runs a column block.
+_SCRATCH = 1 << 17
+#: Slices of at least this many entries share each pass out over the workers.
+_THREAD_ENTRIES = 1 << 20
+#: Most workers a pass uses.  Each has a scratch block and a half-size pair
+#: temporary, so at the cap a float64 transform's buffers take 4.5 MiB.
+_MAX_WORKERS = 3
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+#: Workers a pass of a large slice uses: the caller and ``_WORKERS - 1`` threads.
+_WORKERS = min(_cpus(), _MAX_WORKERS)
 
 
 def _levels(
-    a: np.ndarray, pair: Callable[[np.ndarray, np.ndarray], None], h: int, stop: int
+    a: np.ndarray, pair: Callable[..., None], h: int, stop: int, t: np.ndarray | None = None
 ) -> None:
-    """Levels h, 2h, ... below ``stop`` over axis -2 of a C-contiguous (..., rows, B) array."""
+    """Levels h, 2h, ... below ``stop`` over axis -2 of a C-contiguous (..., rows, B) array.
+
+    ``t`` is a flat buffer of at least half of ``a``'s entries for the pair's
+    difference; without it the pair allocates its own.
+    """
     width = a.shape[-1]
     while h < stop:
         m = a.reshape(-1, 2, h * width)
-        pair(m[:, 0, :], m[:, 1, :])
+        x, y = m[:, 0, :], m[:, 1, :]
+        pair(x, y, None if t is None else t[: x.size].reshape(x.shape))
         h <<= 1
 
 
-def _butterfly(a: np.ndarray, pair: Callable[[np.ndarray, np.ndarray], None]) -> None:
+def _in_threads(run: Callable[..., None], args: list[tuple]) -> None:
+    """``run(*args[0])`` in the caller while a thread runs ``run(*a)`` for each later ``a``.
+
+    Every thread is joined before this returns or raises; then the first
+    exception a thread raised is raised here.
+    """
+    errors = []
+
+    def guarded(*a):
+        try:
+            run(*a)
+        except BaseException as exc:  # handed to the caller below
+            errors.append(exc)
+
+    threads = []
+    try:
+        for a in args[1:]:
+            threads.append(threading.Thread(target=guarded, args=a))
+            threads[-1].start()
+        run(*args[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _blocked_pass(
+    view: np.ndarray, pair: Callable[..., None], chunk: int, scratch: np.ndarray, temps: np.ndarray
+) -> None:
+    """Levels 1 ... L/2 over axis 0 of an (L, C, B) view, ``chunk`` columns at a time.
+
+    Each column block is copied into a worker's scratch block, runs all its
+    levels there and is copied back.  The blocks are shared out in
+    contiguous runs, one per row of ``scratch`` and ``temps``.
+    """
+    rows = view.shape[0]
+
+    def run(starts, block, t):
+        for lo in starts:
+            part = view[:, lo : lo + chunk]
+            work = block[: part.size].reshape(part.shape)
+            work[...] = part
+            _levels(work.reshape(rows, -1), pair, 1, rows, t)
+            part[...] = work
+
+    starts = range(0, view.shape[1], chunk)
+    workers = min(len(scratch), len(starts))
+    _in_threads(run, [(starts[i * len(starts) // workers : (i + 1) * len(starts) // workers],
+                       scratch[i], temps[i]) for i in range(workers)])
+
+
+def _butterfly(a: np.ndarray, pair: Callable[..., None]) -> None:
     """In-place butterfly over axis -2 of a C-contiguous (..., 2^m, B) array.
 
     Column b is table b.  Level h hands ``pair`` the rows i and i + h of each
@@ -369,41 +454,53 @@ def _butterfly(a: np.ndarray, pair: Callable[[np.ndarray, np.ndarray], None]) ->
     of two different (2^m, B) slices, so each leading slice runs all its
     levels on its own before the next one starts: at n = 20 the ancilla
     route's (2, 2^n, 1) state passes through the cache one 8 MiB half at a
-    time, and the pair's temporaries are half a slice, not half the array.
+    time.
 
-    Within a slice, when B is below G = 2^(m//2), the runs are short at the
-    low levels, so, if at least two groups of G rows fit the scratch block,
-    they run in two phases (the four-step split of Bailey, "FFTs in external
-    or hierarchical memory"): each chunk of groups of G rows is copied
-    transposed to (G, groups, B) in one small scratch block, where levels
-    1 ... G/2 see halves of h * groups * B contiguous entries, and copied
-    back; levels G ... 2^(m-1) then run in place.  Every entry meets the
-    same partner under the same elementwise ``pair`` in the same level
-    order, so the result is bit-identical to one loop over all levels.
+    Within a slice, when B is below G = 2^(m//2) and at least two groups of
+    G rows fit a scratch block, the levels run in two cache-blocked passes
+    (the four-step split of Bailey, "FFTs in external or hierarchical
+    memory").  The low pass runs levels 1 ... G/2 over the (G, 2^m / G, B)
+    transpose of the slice, the high pass levels G ... 2^(m-1) over the
+    slice as (2^m / G, G, B).  Either pass copies a block of columns of its
+    view into a scratch block, runs all its levels there on halves of
+    h * columns * B contiguous entries, and copies it back.  A slice that
+    fits one scratch block runs its high levels in place.
+
+    The column blocks of a pass are disjoint, so in a slice of at least
+    2^20 entries they are shared out between the caller and up to
+    ``_WORKERS - 1`` threads, ``_WORKERS`` being the CPUs of the process's
+    affinity mask, at most ``_MAX_WORKERS``.  The caller allocates each
+    worker's scratch block and pair temporary.  Every entry meets the same
+    partner under the same elementwise ``pair`` in the same level order,
+    whatever the blocking and the threads, so the result is bit-identical to
+    one loop over all levels.
     """
     if not a.flags.c_contiguous:
         raise ValueError("the butterfly runs in place on a C-contiguous array")
     size, width = a.shape[-2:]
     group = 1 << (size.bit_length() - 1) // 2
-    chunk = _SCRATCH // (group * width)
-    split = width < group and chunk > 1
-    if split:
-        scratch = np.empty(min(chunk, size // group) * group * width, a.dtype)
+    rows = size // group
+    low = min(_SCRATCH // (group * width), rows)  # groups per low block
+    high = min(_SCRATCH // (rows * width), group)  # columns per high block
+    if width >= group or low < 2:
+        for sub in a.reshape(-1, size, width):
+            _levels(sub, pair, 1, size)
+        return
+    blocked_high = size * width > _SCRATCH and high > 1
+    block = max(low * group, high * rows if blocked_high else 0) * width
+    workers = _WORKERS if size * width >= _THREAD_ENTRIES else 1
+    scratch = np.empty((workers, block), a.dtype)
+    temps = np.empty((workers, block // 2), a.dtype)
     for sub in a.reshape(-1, size, width):
-        h = 1
-        if split:
-            groups = sub.reshape(-1, group, width)
-            for lo in range(0, len(groups), chunk):
-                part = groups[lo : lo + chunk]
-                block = scratch[: part.size].reshape(group, -1, width)
-                block[...] = part.transpose(1, 0, 2)
-                _levels(block.reshape(group, -1), pair, 1, group)
-                part[...] = block.transpose(1, 0, 2)
-            h = group
-        _levels(sub, pair, h, size)
+        groups = sub.reshape(rows, group, width)
+        _blocked_pass(groups.transpose(1, 0, 2), pair, low, scratch, temps)
+        if blocked_high:
+            _blocked_pass(groups, pair, high, scratch, temps)
+        else:
+            _levels(sub, pair, group, size)
 
 
-def _xor_pair(x: np.ndarray, y: np.ndarray) -> None:
+def _xor_pair(x: np.ndarray, y: np.ndarray, t: np.ndarray | None = None) -> None:
     y ^= x
 
 
@@ -468,7 +565,7 @@ def make_mm_bent(
     constant 0) an arbitrary function on the high half.  The result is
     bent on n = 2 * half bits for every choice of ``pi`` and ``g``.
     """
-    half = int(half)
+    half = _index(half, "half-arity")
     if half < 1 or 2 * half > MAX_ARITY:
         raise ValueError(f"half-arity must be in [1, {MAX_ARITY // 2}], got {half}")
     size = 1 << half

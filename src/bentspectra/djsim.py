@@ -123,11 +123,12 @@ def amplitudes_from_walsh(spec: WalshSpectrum) -> Amplitudes:
     return Amplitudes(spec.n, _scaled_spectra(spec.n, spec.coeffs[:, None])[:, 0])
 
 
-def _hadamard_pair(x: np.ndarray, y: np.ndarray) -> None:
-    diff = (x - y) * _SQRT1_2
+def _hadamard_pair(x: np.ndarray, y: np.ndarray, t: np.ndarray | None = None) -> None:
+    t = np.subtract(x, y, out=t)
+    t *= _SQRT1_2
     x += y
     x *= _SQRT1_2
-    y[:] = diff
+    y[:] = t
 
 
 def _signed_layer(levels: int, bits: np.ndarray, out: np.ndarray) -> np.ndarray:

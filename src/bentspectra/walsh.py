@@ -153,10 +153,10 @@ def walsh_naive(tt: TruthTable) -> WalshSpectrum:
     return WalshSpectrum(tt.n, _naive_columns(tt.n, tt.bits[:, None])[:, 0])
 
 
-def _sum_diff(x: np.ndarray, y: np.ndarray) -> None:
-    diff = x - y
+def _sum_diff(x: np.ndarray, y: np.ndarray, t: np.ndarray | None = None) -> None:
+    t = np.subtract(x, y, out=t)
     x += y
-    y[:] = diff
+    y[:] = t
 
 
 def _fwht_columns(bits: np.ndarray) -> np.ndarray:

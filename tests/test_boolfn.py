@@ -1,7 +1,10 @@
 """Truth tables, bit vectors, generators, ANF, and the text formats."""
 
 import itertools
+import re
 import string
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -23,8 +26,10 @@ from bentspectra import (
     shuffle_search_bent,
     to_anf,
 )
-from bentspectra.boolfn import (MAX_ARITY, _SCRATCH, _bits_from_binary, _bits_from_hex,
-                                 _butterfly, _check_arity, _random_columns, _xor_pair)
+from bentspectra import boolfn
+from bentspectra.boolfn import (_MAX_WORKERS, MAX_ARITY, _SCRATCH, _bits_from_binary,
+                                 _bits_from_hex, _butterfly, _check_arity, _random_columns,
+                                 _xor_pair)
 from bentspectra.djsim import _hadamard_pair
 from bentspectra.walsh import _sum_diff
 
@@ -80,6 +85,25 @@ def test_numpy_integer_arities_are_accepted():
     assert tt == TruthTable(2, [0, 1, 1, 0]) and type(tt.n) is int
     assert make_constant(np.uint8(3), 1).n == 3
     assert BitVector(np.int32(4), 9).bit(3) == 1
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TruthTable(2, [0, 0, 1, 1])(1.9), "x must be an integer, got 1.9"),
+    (lambda: make_affine(4, 9.7), "k must be an integer, got 9.7"),
+    (lambda: make_mm_bent(1.5, [0, 1]), "half-arity must be an integer, got 1.5"),
+    (lambda: BitVector(4, 9.5), "value must be an integer, got 9.5"),
+], ids=["eval", "make-affine", "make-mm-bent", "bitvector"])
+def test_values_must_be_integers(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_numpy_integer_values_are_accepted():
+    v = BitVector(np.int64(4), np.uint8(9))
+    assert v == BitVector(4, 9) and type(v.n) is int and type(v.value) is int
+    assert TruthTable(2, [0, 0, 1, 1])(np.int64(2)) == 1
+    assert make_affine(4, np.int32(9)) == make_affine(4, 9)
+    assert make_mm_bent(np.int64(1), [1, 0]) == make_mm_bent(1, [1, 0])
 
 
 def test_dot_examples():
@@ -462,6 +486,82 @@ def test_butterfly_runs_each_leading_slice_on_its_own(pair, m):
             _butterfly(sub, pair)
         _butterfly(a, pair)
         assert a.tobytes() == expected.tobytes(), width
+
+
+@pytest.mark.parametrize("pair", [_sum_diff, _hadamard_pair, _xor_pair])
+@pytest.mark.parametrize("m", [20, 21])
+@pytest.mark.parametrize("width", [1, 3])
+def test_threaded_butterfly_matches_one_loop_bit_for_bit(monkeypatch, pair, m, width):
+    # at odd m a slice has twice as many groups as a group has rows; three
+    # workers get uneven shares of the blocks, and on a 2-core host more
+    # workers than cores, switching often.  Slices run on their own, so the
+    # first slice of the reference is the reference of the first slice.
+    a = _butterfly_input(pair, (2, 1 << m, width), seed=m * 10 + width)
+    expected = a.copy()
+    reference_butterfly(expected, pair)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(boolfn, "_WORKERS", workers)
+            for given, want in ((a[0], expected[0]), (a, expected)):
+                b = given.copy()
+                _butterfly(b, pair)
+                # the bits as unsigned integers: -0.0 differs from 0.0, and no
+                # full-size bytes copy is made
+                bits = f"u{b.itemsize}"
+                assert np.array_equal(b.view(bits), want.view(bits)), (workers, b.shape)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _threads_used(monkeypatch, shape):
+    monkeypatch.setattr(boolfn, "_WORKERS", 3)
+    idents = set()
+
+    def recording(x, y, t=None):
+        idents.add(threading.get_ident())
+        _sum_diff(x, y, t)
+
+    _butterfly(np.ones(shape, np.int32), recording)
+    return len(idents)
+
+
+def test_only_slices_of_2_20_entries_use_threads(monkeypatch):
+    assert _threads_used(monkeypatch, (1 << 20, 1)) == 3
+    assert _threads_used(monkeypatch, (1 << 14, 64)) == 3
+    assert _threads_used(monkeypatch, (4, 1 << 18, 1)) == 1  # verify's blocks, four slices
+    assert _threads_used(monkeypatch, (1 << 14, 16)) == 1
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(boolfn, "_WORKERS", 3)
+    before = threading.active_count()
+
+    def failing(x, y, t=None):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker failed")
+        _sum_diff(x, y, t)
+
+    with pytest.raises(RuntimeError, match="^worker failed$"):
+        _butterfly(np.ones((1 << 20, 1), np.int32), failing)
+    assert threading.active_count() == before
+
+
+def test_threaded_butterfly_memory_is_the_workers_buffers(monkeypatch):
+    monkeypatch.setattr(boolfn, "_WORKERS", _MAX_WORKERS)
+    column = np.random.default_rng(0).standard_normal((1 << 20, 1))
+    tracemalloc.start()
+    try:
+        _butterfly(column, _hadamard_pair)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # each worker's scratch block, its pair temporary of half that size, and
+    # the buffers numpy's ufunc iterator takes for the short strided runs of
+    # the low levels: one of np.getbufsize() entries for each of three operands
+    per_worker = _SCRATCH + _SCRATCH // 2 + 3 * np.getbufsize()
+    assert peak <= _MAX_WORKERS * per_worker * column.itemsize + (64 << 10)
 
 
 def test_butterfly_refuses_non_contiguous_arrays():

@@ -24,7 +24,7 @@ from bentspectra import (
     simulate_circuit,
     simulate_with_ancilla,
 )
-from bentspectra import djsim
+from bentspectra import boolfn, djsim
 from bentspectra.boolfn import MAX_ARITY, _butterfly, _random_columns
 from bentspectra.djsim import (
     ANCILLA_MAX_N,
@@ -228,6 +228,12 @@ def test_circuit_route_memory_is_its_state_and_the_result():
 def test_ancilla_route_memory_is_its_state_and_the_result():
     # the 2^(n+1)-entry state, projected in place, and the 2^n-entry Amplitudes copy
     assert _route_peak(simulate_with_ancilla, 18) <= 8 * (3 << 18) + _SMALL
+
+
+def test_threaded_circuit_route_memory_is_its_state_and_the_result(monkeypatch):
+    # the butterfly's worker buffers are freed before the Amplitudes copy is made
+    monkeypatch.setattr(boolfn, "_WORKERS", boolfn._MAX_WORKERS)
+    assert _route_peak(simulate_circuit, 20) <= 8 * (2 << 20) + _SMALL
 
 
 @given(truth_tables(max_n=8))
