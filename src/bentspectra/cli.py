@@ -94,11 +94,13 @@ def _read_table(args, cap: int) -> tuple[TruthTable, str]:
     return tt, source
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(blocks, out: str | Path | None) -> None:
+    """Write the blocks of a text as they come, to ``out`` or stdout."""
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            fh.writelines(blocks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
@@ -201,28 +203,28 @@ def _cmd_gen(args, cap: int) -> int:
                 f"no bent function found after {result.iterations} shuffles"
             )
         tt = result.table
-    _write(tt.text() + "\n", args.out)
+    _write([tt.text() + "\n"], args.out)
     return 0
 
 
 def _cmd_walsh(args, cap: int) -> int:
     tt, _ = _read_table(args, cap)
-    _write(spectra.export_walsh_csv(walsh.fwht(tt)), args.out)
+    _write(spectra._walsh_csv_blocks(walsh.fwht(tt)), args.out)
     return 0
 
 
 def _cmd_classify(args, cap: int) -> int:
     tt, _ = _read_table(args, cap)
     result = walsh.classify(walsh.fwht(tt))
-    _write(json.dumps({"n": tt.n, **result.as_dict()}, indent=2) + "\n", args.out)
+    _write([json.dumps({"n": tt.n, **result.as_dict()}, indent=2) + "\n"], args.out)
     return 0
 
 
 def _cmd_dj(args, cap: int) -> int:
     tt, source = _read_table(args, cap)
     report = spectra.make_report(tt, generator=source)
-    text = spectra.export_csv(report) if args.format == "csv" else spectra.export_json(report)
-    _write(text, args.out)
+    blocks = spectra._csv_blocks if args.format == "csv" else spectra._json_blocks
+    _write(blocks(report), args.out)
     return 0
 
 
@@ -231,20 +233,20 @@ def _cmd_sample(args, cap: int) -> int:
     amps = djsim.amplitudes_from_walsh(walsh.fwht(tt))
     hist = djsim.sample_measurements(amps, args.shots, np.random.default_rng(args.seed))
     if args.format == "csv":
-        _write(spectra.export_histogram_csv(hist), args.out)
+        _write(spectra._histogram_csv_blocks(hist), args.out)
     else:
-        _write(spectra.export_histogram_json(hist, seed=args.seed), args.out)
+        _write(spectra._histogram_json_blocks(hist, seed=args.seed), args.out)
     return 0
 
 
 def _bars(report: spectra.SpectrumReport, column: str, fmt: str,
-          title: str | None = None) -> str:
-    """Bars of one report column, titled ``"{generator}: {column}"`` by default."""
+          title: str | None = None):
+    """Text blocks of the bars of one report column, titled ``"{generator}: {column}"`` by default."""
     values = getattr(report, {"walsh": "walsh", "amplitude": "amplitudes",
                               "probability": "probabilities"}[column])
     if title is None:
         title = f"{report.generator}: {column}" if report.generator else column
-    return spectra.render_bars(values, title, fmt)
+    return spectra._bar_blocks(values, title, fmt)
 
 
 def _plot_input(args, cap: int) -> str:
@@ -332,8 +334,8 @@ def _cmd_paper(args, cap: int) -> int:
         report = spectra.make_report(tt, generator=description, seed=seed)
         csv_path = outdir / f"{stem}.csv"
         svg_path = outdir / f"{stem}.svg"
-        csv_path.write_text(spectra.export_csv(report))
-        svg_path.write_text(_bars(report, "probability", "svg"))
+        _write(spectra._csv_blocks(report), csv_path)
+        _write(_bars(report, "probability", "svg"), svg_path)
         print(f"wrote {csv_path} and {svg_path}")
     return 0
 

@@ -5,20 +5,30 @@ coefficient W(p), the real output amplitude W(p) / 2^n and the measurement
 probability (W(p) / 2^n)^2, plus metadata (generator description, seed when
 one was used, and the spectral classification).  It is built from a
 ``WalshSpectrum`` alone, so every row is a pure function of its W value, and
-``read_report`` rejects files whose columns disagree with their W.  The CSV
-writers, the report JSON writer and the SVG writer format each distinct value
-once (a bent function has two W values) and index the text by outcome.  The CSV
-reader rebuilds the report from the W column alone and accepts the file when
-the report's export is the file's text; only a text that differs from it is
-parsed field by field.  All exporters are deterministic, and floating-point
-columns are printed with up to 17 significant digits, enough to round-trip
-float64 losslessly.
+``read_report`` rejects files whose columns disagree with their W.
+
+Every row writer (report CSV and JSON, Walsh and histogram CSV, histogram
+JSON, SVG bars) goes through one engine that treats a row as a few table
+columns: each column is a small table of strings and one table index per
+row.  p is two columns, its thousands and a fixed table of its last three
+digits; the value text is a table of one tail per distinct value (a bent
+function has two W values); an SVG ``x`` is a table of whole parts and one
+of two-digit decimals.  Each column is gathered once per block of 2^16 rows
+and the block is joined once, so no string is built per row.  The
+string-returning exporters join their blocks; the CLI writes the blocks as
+they come, so a command's memory is its columns and a few blocks, not its
+text.  The CSV reader rebuilds the report from the W column alone and
+accepts the file when the report's export, compared block by block, is the
+file's text; only a text that differs from it is parsed field by field.  All
+exporters are deterministic, and floating-point columns are printed with up
+to 17 significant digits, enough to round-trip float64 losslessly.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -87,27 +97,96 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             keys = values - low
             present = np.zeros(high - low + 1, dtype=bool)
             present[keys] = True
-            return np.flatnonzero(present) + low, np.cumsum(present, dtype=np.int32)[keys] - 1
+            index = np.cumsum(present, dtype=np.int32)[keys]
+            index -= 1
+            return np.flatnonzero(present) + low, index
     return np.unique(values, return_inverse=True)
 
 
-def _rows(values: np.ndarray, tail, sep: str) -> str:
-    """``f"{p}{tail(values[p])}"`` per outcome p, joined by ``sep``; ``tail`` runs per value."""
+#: Rows per text block: each writer builds, and ``cli`` writes, 2^16 rows at a time.
+_BLOCK_ROWS = 1 << 16
+
+
+def _table(strings: Sequence[str]) -> np.ndarray:
+    return np.array(strings, dtype=object)
+
+
+#: The last three digits of p, indexed by ``low + 1000 * (p >= 1000)``: bare below
+#: 1000, zero-padded after the thousands.
+_LOW_DIGITS = _table([str(r) for r in range(1000)] + [f"{r:03d}" for r in range(1000)])
+
+
+def _p_columns(start: int, stop: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The two columns that spell p = start .. stop - 1: its thousands, then its last three digits."""
+    high, low = np.divmod(np.arange(start, stop), 1000)
+    first = int(high[0])
+    thousands = _table([str(h) if h else "" for h in range(first, int(high[-1]) + 1)])
+    return [(thousands, high - first), (_LOW_DIGITS, low + 1000 * (high > 0))]
+
+
+def _row_blocks(head: str, tails: list[str], index: np.ndarray, sep: str, end: str,
+                lead=lambda start, stop: []):
+    """``head``, then the rows in blocks of ``_BLOCK_ROWS``.
+
+    Row i is the leading columns ``lead(start, stop)`` gives it, then
+    ``tails[index[i]]`` and ``sep``; the last row ends in ``end`` in place of
+    ``sep``.
+    """
+    yield head
+    table = _table([t + sep for t in tails])
+    for start in range(0, index.size, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, index.size)
+        last = tails[index[-1]] + end if stop == index.size else None
+        yield _join([*lead(start, stop), (table, index[start:stop])], last)
+
+
+def _join(columns: list[tuple[np.ndarray, np.ndarray]], last: str | None) -> str:
+    """The rows of ``columns`` as one string; ``last``, if given, replaces the final column's last entry.
+
+    A column is a table of strings and one table index per row.  Each column
+    is gathered once and slice-assigned into one flat list, which is joined
+    once, so no string is built per row.
+    """
+    k = len(columns)
+    flat = [""] * (k * columns[0][1].size)
+    for j, (strings, at) in enumerate(columns):
+        flat[j::k] = strings[at].tolist()
+    if last is not None:
+        flat[-1] = last
+    return "".join(flat)
+
+
+def _indexed_blocks(head: str, values: np.ndarray, tail, sep: str, end: str):
+    """Blocks of ``f"{p}{tail(values[p])}"`` per outcome p; ``tail`` runs once per distinct value."""
     distinct, index = _distinct(values)
-    tails = [tail(v) for v in distinct.tolist()]
-    return sep.join([f"{p}{tails[i]}" for p, i in enumerate(index.tolist())])
+    return _row_blocks(head, [tail(v) for v in distinct.tolist()], index, sep, end, _p_columns)
 
 
-def _report_rows(report: SpectrumReport, row: str, sep: str) -> str:
+def _report_blocks(report: SpectrumReport, head: str, row: str, sep: str, end: str):
     """Rows tailed by ``row.format(w, a, a * a)``, a = w / 2^n as the report computes it."""
     scale = float(1 << report.n)
-    return _rows(report.walsh, lambda w: row.format(w, a := w / scale, a * a), sep)
+    return _indexed_blocks(head, report.walsh,
+                           lambda w: row.format(w, a := w / scale, a * a), sep, end)
+
+
+def _csv_blocks(report: SpectrumReport):
+    return _report_blocks(report, _CSV_HEADER + "\n", ",{},{:.17g},{:.17g}", "\n", "\n")
 
 
 def export_csv(report: SpectrumReport) -> str:
     """CSV text: header ``p,walsh,amplitude,probability`` then one row per p."""
-    rows = _report_rows(report, ",{},{:.17g},{:.17g}", "\n")
-    return f"{_CSV_HEADER}\n{rows}\n"
+    return "".join(_csv_blocks(report))
+
+
+def _json_blocks(report: SpectrumReport):
+    obj: dict = {"n": report.n, "generator": report.generator}
+    if report.seed is not None:
+        obj["seed"] = report.seed
+    obj["classification"] = report.classification.as_dict()
+    start = '\n    {\n      "p": '
+    head = json.dumps(obj, indent=2)[: -len("\n}")] + ',\n  "rows": [' + start
+    return _report_blocks(report, head, ',\n      "walsh": {},\n      "amplitude": {!r},'
+                          '\n      "probability": {!r}\n    }}', "," + start, "\n  ]\n}\n")
 
 
 def export_json(report: SpectrumReport) -> str:
@@ -117,15 +196,7 @@ def export_json(report: SpectrumReport) -> str:
     ``{p, walsh, amplitude, probability}`` objects; the rows are spliced in
     by hand (floats printed with ``repr``, as ``json`` does).
     """
-    obj: dict = {"n": report.n, "generator": report.generator}
-    if report.seed is not None:
-        obj["seed"] = report.seed
-    obj["classification"] = report.classification.as_dict()
-    head = json.dumps(obj, indent=2)[: -len("\n}")]
-    start = '\n    {\n      "p": '
-    rows = _report_rows(report, ',\n      "walsh": {},\n      "amplitude": {!r},'
-                        '\n      "probability": {!r}\n    }}', "," + start)
-    return f'{head},\n  "rows": [{start}{rows}\n  ]\n}}\n'
+    return "".join(_json_blocks(report))
 
 
 def _parse_column(fields: list[str], parse) -> list:
@@ -223,13 +294,22 @@ def _canonical_csv(text: str) -> SpectrumReport | None:
     for k in range(int(width.max())):
         digit = buf[end - 1 - k].astype(np.int64) - ord("0")
         w += np.where(width > k, digit, 0) * 10**k
+    del buf, commas, start, end, width  # only W and the text are needed from here
     try:
         report = SpectrumReport(WalshSpectrum(rows.bit_length() - 1,
                                               np.where(negative, -w, w)))
     except ValueError:
         return None
-    out = export_csv(report)
-    return report if len(out) == len(text) + 1 and out.startswith(text) else None
+    # the export, block by block, must be the text and the newline it was stripped of
+    at = 0
+    for block in _csv_blocks(report):
+        if text.startswith(block, at):
+            at += len(block)
+        elif at + len(block) == len(text) + 1 and text.startswith(block[:-1], at):
+            at = len(text) + 1
+        else:
+            return None
+    return report if at == len(text) + 1 else None
 
 
 def read_report(text: str) -> SpectrumReport:
@@ -251,24 +331,38 @@ def read_report(text: str) -> SpectrumReport:
     return _read_csv(text.splitlines()) if report is None else report
 
 
+def _walsh_csv_blocks(spec: WalshSpectrum):
+    return _indexed_blocks("p,walsh\n", spec.coeffs, ",{}".format, "\n", "\n")
+
+
 def export_walsh_csv(spec: WalshSpectrum) -> str:
     """Bare spectrum CSV: header ``p,walsh`` then one row per p."""
-    rows = _rows(spec.coeffs, ",{}".format, "\n")
-    return f"p,walsh\n{rows}\n"
+    return "".join(_walsh_csv_blocks(spec))
+
+
+def _histogram_csv_blocks(hist):
+    return _indexed_blocks("p,count\n", hist.counts, ",{}".format, "\n", "\n")
 
 
 def export_histogram_csv(hist) -> str:
     """Histogram CSV: header ``p,count`` then one row per outcome."""
-    rows = _rows(hist.counts, ",{}".format, "\n")
-    return f"p,count\n{rows}\n"
+    return "".join(_histogram_csv_blocks(hist))
 
 
-def export_histogram_json(hist, seed: int | None = None) -> str:
+def _histogram_json_blocks(hist, seed: int | None = None):
     obj: dict = {"n": hist.n, "shots": hist.shots}
     if seed is not None:
         obj["seed"] = int(seed)
-    obj["counts"] = hist.counts.tolist()
-    return json.dumps(obj, indent=2) + "\n"
+    head = json.dumps(obj, indent=2)[: -len("\n}")] + ',\n  "counts": [\n'
+    distinct, index = _distinct(hist.counts)
+    return _row_blocks(head, [f"    {c}" for c in distinct.tolist()], index, ",\n",
+                       "\n  ]\n}\n")
+
+
+def export_histogram_json(hist, seed: int | None = None) -> str:
+    """Histogram JSON: the bytes of ``json.dumps(obj, indent=2)`` and a newline, for
+    ``obj = {n, shots[, seed], counts}``; the counts list is spliced in by hand."""
+    return "".join(_histogram_json_blocks(hist, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +381,20 @@ def render_bars(values: Sequence[float] | np.ndarray, title: str = "",
     so the SVG is ASCII whatever the locale.  An all-zero input renders
     zero-height / zero-width bars; NaN and infinities raise ``ValueError``.
     """
+    return "".join(_bar_blocks(values, title, format))
+
+
+def _bar_blocks(values, title: str, format: str):
+    """``render_bars``'s text in blocks; every check runs before the first block."""
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError("render_bars needs a non-empty 1-d value sequence")
     if not np.isfinite(vals).all():
         raise ValueError("render_bars needs finite values")
     if format == "ascii":
-        return _render_ascii(vals, title)
+        return [_render_ascii(vals, title)]
     if format == "svg":
-        return _render_svg(vals, title)
+        return _svg_blocks(vals, title)
     raise ValueError(f"unknown render format: {format!r}")
 
 
@@ -321,7 +420,40 @@ def _render_ascii(vals: np.ndarray, title: str) -> str:
 _NOT_XML_CHAR = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 
 
-def _render_svg(vals: np.ndarray, title: str) -> str:
+def _cents(x: np.ndarray) -> np.ndarray:
+    """``format(v, ".2f")`` of each v in ``x``, |v| < 1310.72, as a count of hundredths.
+
+    ``rint(v * 100)`` rounds the float product, which is within 2^-37 of the
+    exact v * 100 below 2^17, so it can differ from the correctly rounded
+    ``format`` only where the product is that close to a half; every v within
+    1e-6 of one is formatted on its own.
+    """
+    scaled = x * 100
+    cents = np.rint(scaled)
+    near = np.flatnonzero(np.abs(np.abs(scaled - cents) - 0.5) < 1e-6)
+    cents = cents.astype(np.int64)
+    cents[near] = [int(format(v, ".2f").replace(".", "")) for v in x[near].tolist()]
+    return cents
+
+
+#: The two decimals of an x attribute, by cents modulo 100.
+_TWO_DIGITS = _table([f"{d:02d}" for d in range(100)])
+
+
+def _x_columns(left: float, slot: float, offset: float,
+               start: int, stop: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The columns spelling ``f'<rect x="{x:.2f}'`` for bars i = start .. stop - 1.
+
+    x is ``left + i * slot + offset`` in float64, the per-bar expression
+    operation for operation, and ``_cents`` rounds it as ``format`` does.
+    """
+    whole, frac = np.divmod(_cents(left + np.arange(start, stop) * slot + offset), 100)
+    first = int(whole[0])
+    heads = _table([f'<rect x="{w}.' for w in range(first, int(whole[-1]) + 1)])
+    return [(heads, whole - first), (_TWO_DIGITS, frac)]
+
+
+def _svg_blocks(vals: np.ndarray, title: str):
     _check_bar_count(vals.size, "svg")
     width, height = 800.0, 360.0
     left, right, top, bottom = 40.0, 10.0, 30.0, 20.0
@@ -331,19 +463,19 @@ def _render_svg(vals: np.ndarray, title: str) -> str:
     peak = float(np.abs(vals).max())
     slot = plot_w / vals.size
     bar_w = slot * 0.9
+    offset = (slot - bar_w) / 2
 
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">'
-    ]
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
+            f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">\n')
     if title:
         title = re.sub(_NOT_XML_CHAR, "\ufffd", title)
         title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         title = title.encode("ascii", "xmlcharrefreplace").decode("ascii")
-        out.append(
-            f'<text x="{width / 2:.2f}" y="20" text-anchor="middle" '
-            f'font-family="monospace" font-size="14">{title}</text>'
-        )
+        head += (f'<text x="{width / 2:.2f}" y="20" text-anchor="middle" '
+                 f'font-family="monospace" font-size="14">{title}</text>\n')
+    foot = (f'\n<line x1="{left:.2f}" y1="{base_y:.2f}" x2="{left + plot_w:.2f}" '
+            f'y2="{base_y:.2f}" stroke="black"/>\n</svg>\n')
+
     # every bar of the same |v| shares the text after its x attribute
     magnitudes, inv = _distinct(np.abs(vals))
     tails = []
@@ -351,12 +483,4 @@ def _render_svg(vals: np.ndarray, title: str) -> str:
         h = 0.0 if peak == 0.0 else plot_h * v / peak
         tails.append(f'" y="{base_y - h:.2f}" width="{bar_w:.2f}" '
                      f'height="{h:.2f}" fill="steelblue"/>')
-    offset = (slot - bar_w) / 2
-    out.extend([f'<rect x="{left + i * slot + offset:.2f}{tails[k]}'
-                for i, k in enumerate(inv.tolist())])
-    out.append(
-        f'<line x1="{left:.2f}" y1="{base_y:.2f}" x2="{left + plot_w:.2f}" '
-        f'y2="{base_y:.2f}" stroke="black"/>'
-    )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return _row_blocks(head, tails, inv, "\n", foot, partial(_x_columns, left, slot, offset))

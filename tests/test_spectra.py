@@ -4,6 +4,8 @@ import json
 import re
 import tracemalloc
 import xml.etree.ElementTree as ET
+from functools import partial
+from types import SimpleNamespace
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -30,7 +32,7 @@ from bentspectra import (
     render_bars,
     sample_measurements,
 )
-from bentspectra import spectra
+from bentspectra import cli, spectra
 from bentspectra.spectra import (
     ASCII_MAX_BARS,
     SVG_MAX_BARS,
@@ -773,6 +775,102 @@ def test_csv_read_memory_at_n16():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # about 21 MiB: the text's bytes, one re-export and the numpy columns; parsing
-    # every field as a Python string and number took 31 MiB
+    # about 11 MiB: the text's bytes, the numpy columns and one block of the
+    # re-export (20 MiB when the whole re-export was built); parsing every field
+    # as a Python string and number took 31 MiB
     assert peak <= 28 << 20, peak
+
+
+# ---------------------------------------------------------------------------
+# The column-table engine: SVG x strings, cents and block seams
+# ---------------------------------------------------------------------------
+
+
+def test_svg_x_strings_match_per_bar_format_for_every_power_of_two_bar_count():
+    # one pass over every n, 2^21 bars in all, so it is not repeated per example
+    left = 40.0
+    for n in range(21):
+        count = 1 << n
+        slot = 750.0 / count
+        offset = (slot - slot * 0.9) / 2
+        blocks = spectra._row_blocks("", [""], np.zeros(count, dtype=np.int32), "\n", "\n",
+                                     partial(spectra._x_columns, left, slot, offset))
+        want = "".join([f'<rect x="{left + i * slot + offset:.2f}\n' for i in range(count)])
+        assert "".join(blocks) == want, n
+
+
+_NEAR_TIES = [float(w) for v in (0.125, 0.375, 40.125, 2.675, 1.005, 799.995)
+              for w in (np.nextafter(v, 0.0), v, np.nextafter(v, 1e3))]
+
+
+def test_cents_match_format_on_ties_and_their_neighbours():
+    cents = spectra._cents(np.array(_NEAR_TIES)).tolist()
+    assert [f"{c // 100}.{c % 100:02d}" for c in cents] == [format(v, ".2f") for v in _NEAR_TIES]
+    # rounding the float product alone gets 2.675 wrong, so the per-value branch is needed
+    assert np.rint(2.675 * 100) == 268 and format(2.675, ".2f") == "2.67"
+
+
+def _materialized(report):
+    """The report's columns as plain arrays, so the per-row references index them cheaply."""
+    return SimpleNamespace(n=report.n, walsh=report.walsh, amplitudes=report.amplitudes,
+                           probabilities=report.probabilities, generator=report.generator,
+                           seed=report.seed, classification=report.classification)
+
+
+@pytest.mark.parametrize("n", [10, 17])  # p crosses 1000; two blocks, p crosses 10^5
+def test_every_writer_matches_its_reference_across_block_seams(n):
+    rng = np.random.default_rng(n)
+    tt = random_function(n, rng)
+    report = make_report(tt, generator="seam", seed=n)
+    rows = _materialized(report)
+    assert len(list(spectra._csv_blocks(report))) == 1 + -(-(1 << n) // spectra._BLOCK_ROWS)
+    assert export_csv(report) == reference_export_csv(rows)
+    assert export_json(report) == reference_export_json(rows)
+    assert render_bars(rows.probabilities, "seam", format="svg") \
+        == reference_render_svg(rows.probabilities, "seam")
+    assert export_walsh_csv(fwht(tt)) == reference_indexed_csv("walsh", rows.walsh)
+    hist = sample_measurements(amplitudes_from_walsh(fwht(tt)), 10**6, rng)
+    assert export_histogram_csv(hist) == reference_indexed_csv("count", hist.counts)
+    obj = {"n": n, "shots": hist.shots, "seed": 7, "counts": hist.counts.tolist()}
+    assert export_histogram_json(hist, seed=7) == json.dumps(obj, indent=2) + "\n"
+    del obj["seed"]
+    assert export_histogram_json(hist) == json.dumps(obj, indent=2) + "\n"
+
+
+def test_streamed_dj_memory_is_the_w_column_and_a_few_blocks(tmp_path):
+    n = 18
+    tt = random_function(n, np.random.default_rng(18))
+    table, out = tmp_path / "f.tt", tmp_path / "r.csv"
+    table.write_text(tt.text() + "\n")
+    argv = ["dj", "--in", str(table), "--out", str(out)]
+    assert cli.main(argv) == 0  # warm
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    report = make_report(tt, generator=str(table))
+    assert out.read_text() == export_csv(report)
+    block = max(map(len, spectra._csv_blocks(report)))
+    # W and its distinct index (int32 each); one block's text, its encoded bytes
+    # and the flat list of its 3 * 2^16 column entries; 512 KiB for the table
+    bound = 2 * report.walsh.nbytes + 2 * block + 3 * 8 * spectra._BLOCK_ROWS + (512 << 10)
+    assert peak <= bound < out.stat().st_size, (peak, bound)
+
+
+def test_canonical_csv_compares_the_export_block_by_block(monkeypatch):
+    def whole_export(report):
+        raise AssertionError("the canonical check built the whole export")
+
+    monkeypatch.setattr(spectra, "export_csv", whole_export)
+    report = make_report(random_function(17, np.random.default_rng(17)))
+    text = "".join(spectra._csv_blocks(report))
+    assert read_report(text) == report
+    lines = text.strip().splitlines()
+    # the seam rows, a row inside the second block and the last row, each edited
+    # outside its walsh field, and the text cut short of its last character
+    for row in (spectra._BLOCK_ROWS - 1, spectra._BLOCK_ROWS, 100_000, len(lines) - 2):
+        assert spectra._canonical_csv(_edited(lines, row, 3, "9")) is None
+    assert spectra._canonical_csv(text.strip()[:-1]) is None
+    assert spectra._canonical_csv(text.strip()) == report
