@@ -377,19 +377,18 @@ def _cpus() -> int:
 _WORKERS = min(_cpus(), _MAX_WORKERS)
 
 
-def _levels(
-    a: np.ndarray, pair: Callable[..., None], h: int, stop: int, t: np.ndarray | None = None
-) -> None:
-    """Levels h, 2h, ... below ``stop`` over axis -2 of a C-contiguous (..., rows, B) array.
+def _levels(a: np.ndarray, pair: Callable[..., None], t: np.ndarray) -> None:
+    """Every level over axis 0 of a C-contiguous (rows, k) array.
 
     ``t`` is a flat buffer of at least half of ``a``'s entries for the pair's
-    difference; without it the pair allocates its own.
+    difference.
     """
-    width = a.shape[-1]
-    while h < stop:
+    rows, width = a.shape
+    h = 1
+    while h < rows:
         m = a.reshape(-1, 2, h * width)
         x, y = m[:, 0, :], m[:, 1, :]
-        pair(x, y, None if t is None else t[: x.size].reshape(x.shape))
+        pair(x, y, t[: x.size].reshape(x.shape))
         h <<= 1
 
 
@@ -436,7 +435,7 @@ def _blocked_pass(
             part = view[:, lo : lo + chunk]
             work = block[: part.size].reshape(part.shape)
             work[...] = part
-            _levels(work.reshape(rows, -1), pair, 1, rows, t)
+            _levels(work.reshape(rows, -1), pair, t)
             part[...] = work
 
     starts = range(0, view.shape[1], chunk)
@@ -456,15 +455,14 @@ def _butterfly(a: np.ndarray, pair: Callable[..., None]) -> None:
     route's (2, 2^n, 1) state passes through the cache one 8 MiB half at a
     time.
 
-    Within a slice, when B is below G = 2^(m//2) and at least two groups of
-    G rows fit a scratch block, the levels run in two cache-blocked passes
-    (the four-step split of Bailey, "FFTs in external or hierarchical
-    memory").  The low pass runs levels 1 ... G/2 over the (G, 2^m / G, B)
-    transpose of the slice, the high pass levels G ... 2^(m-1) over the
-    slice as (2^m / G, G, B).  Either pass copies a block of columns of its
-    view into a scratch block, runs all its levels there on halves of
-    h * columns * B contiguous entries, and copies it back.  A slice that
-    fits one scratch block runs its high levels in place.
+    Every slice runs its levels in two cache-blocked passes (the four-step
+    split of Bailey, "FFTs in external or hierarchical memory"), with
+    G = 2^(m//2).  The low pass runs levels 1 ... G/2 over the
+    (G, 2^m / G, B) transpose of the slice, the high pass levels
+    G ... 2^(m-1) over the slice as (2^m / G, G, B).  Either pass copies a
+    block of columns of its view (as many as fit ``_SCRATCH`` entries, at
+    least one) into a scratch block, runs all its levels there on halves of
+    h * columns * B contiguous entries, and copies it back.
 
     The column blocks of a pass are disjoint, so in a slice of at least
     2^20 entries they are shared out between the caller and up to
@@ -480,24 +478,16 @@ def _butterfly(a: np.ndarray, pair: Callable[..., None]) -> None:
     size, width = a.shape[-2:]
     group = 1 << (size.bit_length() - 1) // 2
     rows = size // group
-    low = min(_SCRATCH // (group * width), rows)  # groups per low block
-    high = min(_SCRATCH // (rows * width), group)  # columns per high block
-    if width >= group or low < 2:
-        for sub in a.reshape(-1, size, width):
-            _levels(sub, pair, 1, size)
-        return
-    blocked_high = size * width > _SCRATCH and high > 1
-    block = max(low * group, high * rows if blocked_high else 0) * width
+    low = max(1, min(_SCRATCH // (group * width), rows))  # groups per low block
+    high = max(1, min(_SCRATCH // (rows * width), group))  # columns per high block
+    block = max(low * group, high * rows) * width
     workers = _WORKERS if size * width >= _THREAD_ENTRIES else 1
     scratch = np.empty((workers, block), a.dtype)
     temps = np.empty((workers, block // 2), a.dtype)
     for sub in a.reshape(-1, size, width):
         groups = sub.reshape(rows, group, width)
         _blocked_pass(groups.transpose(1, 0, 2), pair, low, scratch, temps)
-        if blocked_high:
-            _blocked_pass(groups, pair, high, scratch, temps)
-        else:
-            _levels(sub, pair, group, size)
+        _blocked_pass(groups, pair, high, scratch, temps)
 
 
 def _xor_pair(x: np.ndarray, y: np.ndarray, t: np.ndarray | None = None) -> None:

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .boolfn import (MAX_ARITY, TruthTable, _butterfly, _check_arity, _check_bits, _Frozen,
-                     _frozen_array, _short_repr, _signs_into)
+                     _frozen_array, _index, _short_repr, _signs_into)
 from .walsh import WalshSpectrum, _check_spectra, _fwht_columns, _naive_columns, _square_sums
 
 #: Statevector caps, every arity a table can have: one float64 buffer of 2^n
@@ -85,12 +85,13 @@ class MeasurementHistogram(_Frozen):
 
     def __init__(self, n: int, counts: Sequence[int] | np.ndarray, shots: int):
         n = _check_arity(n)
+        shots = _index(shots, "shots")
         arr = _frozen_array(counts, n, np.int64, "counters")
         if arr.min(initial=0) < 0:
             raise ValueError("counts must be non-negative")
         if int(arr.sum()) != shots:
             raise ValueError("counts must sum to the number of shots")
-        self._set(n=n, counts=arr, shots=int(shots))
+        self._set(n=n, counts=arr, shots=shots)
 
     def __repr__(self) -> str:
         return f"MeasurementHistogram(n={self.n}, shots={self.shots})"
@@ -234,8 +235,11 @@ def sample_measurements(
     Dividing by the sum absorbs the 1e-12 normalization slack, and for
     amplitudes W / 2^n, multiples of 2^-2n, numpy's running sums are exact.
     """
-    shots = int(shots)
+    shots = _index(shots, "shots")
     if not 0 <= shots < 1 << 63:  # the histogram counts in int64
         raise ValueError(f"shots must be in [0, 2^63 - 1], got {_short_repr(shots)}")
     p = probabilities(a)
-    return MeasurementHistogram(a.n, rng.multinomial(shots, p / p.sum()), shots)
+    p /= p.sum()
+    counts = rng.multinomial(shots, p)
+    del p  # freed before the histogram copies the counts
+    return MeasurementHistogram(a.n, counts, shots)

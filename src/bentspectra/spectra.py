@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfn import TruthTable, _check_arity, _Frozen, _load_json, _short_repr
+from .boolfn import TruthTable, _check_arity, _Frozen, _index, _load_json, _short_repr
 from .walsh import WalshSpectrum, classify, fwht
 
 ASCII_MAX_BARS = 1 << 8
@@ -55,8 +55,10 @@ class SpectrumReport(_Frozen):
 
     def __init__(self, spectrum: WalshSpectrum, generator: str = "",
                  seed: int | None = None):
+        if not isinstance(generator, str):
+            raise ValueError(f"report generator must be a string, got {_short_repr(generator)}")
         self._set(n=spectrum.n, walsh=spectrum.coeffs, generator=generator,
-                  seed=None if seed is None else int(seed),
+                  seed=None if seed is None else _index(seed, "report seed"),
                   classification=classify(spectrum))
 
     @property
@@ -352,7 +354,7 @@ def export_histogram_csv(hist) -> str:
 def _histogram_json_blocks(hist, seed: int | None = None):
     obj: dict = {"n": hist.n, "shots": hist.shots}
     if seed is not None:
-        obj["seed"] = int(seed)
+        obj["seed"] = _index(seed, "histogram seed")
     head = json.dumps(obj, indent=2)[: -len("\n}")] + ',\n  "counts": [\n'
     distinct, index = _distinct(hist.counts)
     return _row_blocks(head, [f"    {c}" for c in distinct.tolist()], index, ",\n",

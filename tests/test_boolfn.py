@@ -27,9 +27,9 @@ from bentspectra import (
     to_anf,
 )
 from bentspectra import boolfn
-from bentspectra.boolfn import (_MAX_WORKERS, MAX_ARITY, _SCRATCH, _bits_from_binary,
-                                 _bits_from_hex, _butterfly, _check_arity, _random_columns,
-                                 _xor_pair)
+from bentspectra.boolfn import (_BLOCK_ENTRIES, _MAX_WORKERS, MAX_ARITY, _SCRATCH,
+                                 _bits_from_binary, _bits_from_hex, _butterfly, _check_arity,
+                                 _random_columns, _xor_pair)
 from bentspectra.djsim import _hadamard_pair
 from bentspectra.walsh import _sum_diff
 
@@ -472,6 +472,15 @@ def test_butterfly_matches_one_loop_bit_for_bit(pair, m):
 
 
 @pytest.mark.parametrize("pair", [_sum_diff, _hadamard_pair, _xor_pair])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_butterfly_matches_one_loop_on_verify_blocks(pair, m):
+    # verify --random runs (2^m, _BLOCK_ENTRIES / 2^m) blocks: B from 2^10 up to
+    # 2^17 columns, at least G = 2^(m//2), so a high block may be one column wide
+    for lead in ((), (2,)):
+        _assert_butterflies_match(pair, (*lead, 1 << m, _BLOCK_ENTRIES >> m), seed=m)
+
+
+@pytest.mark.parametrize("pair", [_sum_diff, _hadamard_pair, _xor_pair])
 def test_butterfly_matches_one_loop_at_n20(pair):
     _assert_butterflies_match(pair, (1 << 20, 1), seed=20)
 
@@ -562,6 +571,21 @@ def test_threaded_butterfly_memory_is_the_workers_buffers(monkeypatch):
     # the low levels: one of np.getbufsize() entries for each of three operands
     per_worker = _SCRATCH + _SCRATCH // 2 + 3 * np.getbufsize()
     assert peak <= _MAX_WORKERS * per_worker * column.itemsize + (64 << 10)
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_butterfly_memory_on_verify_blocks_is_one_workers_buffers(m):
+    # a block of verify's 2^18 entries runs on one worker, whose scratch block
+    # and pair temporary hold every column block of both passes
+    block = np.random.default_rng(m).standard_normal((1 << m, _BLOCK_ENTRIES >> m))
+    tracemalloc.start()
+    try:
+        _butterfly(block, _hadamard_pair)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    per_worker = _SCRATCH + _SCRATCH // 2 + 3 * np.getbufsize()
+    assert peak <= per_worker * block.itemsize + (64 << 10)
 
 
 def test_butterfly_refuses_non_contiguous_arrays():

@@ -1,5 +1,7 @@
 """Output-amplitude routes, normalization, flatness, and sampling."""
 
+import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -36,6 +38,7 @@ from bentspectra.djsim import (
     _hadamard_pair,
     _scaled_spectra,
 )
+from bentspectra.spectra import export_histogram_json
 from bentspectra.walsh import _fwht_columns
 
 ROUTE_TOL = 1e-12
@@ -354,6 +357,46 @@ def test_sampler_memory_does_not_grow_with_shots():
         tracemalloc.stop()
     assert hist.counts.sum() == 1 << 62
     assert peak < 16 * 1024  # a few 16-entry arrays, whatever the shot count
+
+
+def test_sampler_memory_is_the_counts_and_their_copy():
+    # the probabilities are normalized in place and freed before the histogram
+    # copies the multinomial counts, so two 2^n-entry arrays are alive at once
+    amps = simulate_circuit(random_function(18, np.random.default_rng(18)))
+    tracemalloc.start()
+    try:
+        hist = sample_measurements(amps, 10**6, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (2 << 18) + _SMALL
+    p = probabilities(amps)
+    assert np.array_equal(hist.counts, np.random.default_rng(0).multinomial(10**6, p / p.sum()))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda amps: sample_measurements(amps, 10.9, np.random.default_rng(0)),
+     "shots must be an integer, got 10.9"),
+    (lambda amps: sample_measurements(amps, "5", np.random.default_rng(0)),
+     "shots must be an integer, got '5'"),
+    (lambda amps: MeasurementHistogram(2, [10, 0, 0, 0], 10.0),
+     "shots must be an integer, got 10.0"),
+    (lambda amps: export_histogram_json(sample_measurements(amps, 10, np.random.default_rng(0)),
+                                        seed=2.5),
+     "histogram seed must be an integer, got 2.5"),
+], ids=["shots-float", "shots-str", "histogram-shots-float", "histogram-seed-float"])
+def test_shots_and_histogram_seeds_are_integers(build, message):
+    amps = amplitudes_from_walsh(fwht(make_constant(2, 0)))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(amps)
+
+
+def test_numpy_integer_shots_and_seeds_are_accepted():
+    amps = amplitudes_from_walsh(fwht(make_constant(2, 0)))
+    hist = sample_measurements(amps, np.int64(5), np.random.default_rng(0))
+    assert type(hist.shots) is int and hist.counts.tolist() == [5, 0, 0, 0]
+    assert MeasurementHistogram(2, [5, 0, 0, 0], np.uint8(5)) == hist
+    assert json.loads(export_histogram_json(hist, seed=np.int32(2)))["seed"] == 2
 
 
 def test_sampling_validation():

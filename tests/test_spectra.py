@@ -354,6 +354,25 @@ def test_json_generator_must_be_a_string(generator):
     assert read_report(json.dumps(obj)).generator == ""
 
 
+@pytest.mark.parametrize("metadata, message", [
+    ({"generator": 123}, "report generator must be a string, got 123"),
+    ({"generator": b"x"}, "report generator must be a string, got b'x'"),
+    ({"generator": None}, "report generator must be a string, got None"),
+    ({"seed": 1.7}, "report seed must be an integer, got 1.7"),
+    ({"seed": "3"}, "report seed must be an integer, got '3'"),
+], ids=["generator-int", "generator-bytes", "generator-none", "seed-float", "seed-str"])
+def test_report_refuses_metadata_its_reader_refuses(metadata, message):
+    # the report is checked where it is built, not when its export is read back
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_report(make_inner_product_bent(4), **metadata)
+
+
+def test_report_metadata_round_trips():
+    report = make_report(make_inner_product_bent(4), "ip", np.int64(3))
+    assert type(report.seed) is int and report.seed == 3
+    assert read_report(export_json(report)) == report
+
+
 @pytest.mark.parametrize("text", [
     '{"n": ' + "[" * 100_000,
     '{"n": 4, "rows": ' + "[" * 100_000 + "]" * 100_000 + "}",

@@ -152,7 +152,7 @@ def test_lossless_inputs_build_the_same_value():
     spec = WalshSpectrum(2, [2, 2, 2, -2])
     assert WalshSpectrum(2, np.array([2, 2, 2, -2], dtype=np.int64)) == spec
     assert WalshSpectrum(2, [2.0, 2.0, 2.0, -2.0]) == spec
-    hist = MeasurementHistogram(1, np.array([1.0, 2.0]), 3.0)
+    hist = MeasurementHistogram(1, np.array([1.0, 2.0]), 3)
     assert hist.counts.tolist() == [1, 2] and hist.shots == 3
     assert Amplitudes(1, [1, 0]).amps.tolist() == [1.0, 0.0]
 
