@@ -76,6 +76,7 @@ class BitVector:
 
     def bit(self, j: int) -> int:
         """Bit j of the vector (j = 0 is the least significant)."""
+        j = _index(j, "bit index")
         if not 0 <= j < self.n:
             raise ValueError(f"bit index {j} out of range for {self.n} bits")
         return (self.value >> j) & 1
@@ -208,6 +209,7 @@ class TruthTable(_Frozen):
     def from_int(cls, n: int, mask: int) -> "TruthTable":
         """Build from an integer mask where bit x of ``mask`` is f(x)."""
         n = _check_arity(n)
+        mask = _index(mask, "mask")
         size = 1 << n
         if not 0 <= mask < (1 << size):
             raise ValueError(f"mask out of range for a {size}-entry table")
@@ -217,9 +219,9 @@ class TruthTable(_Frozen):
 
     @classmethod
     def from_function(cls, n: int, fn: Callable[[int], int]) -> "TruthTable":
-        """Tabulate ``fn`` over all integer inputs in [0, 2^n)."""
+        """Tabulate ``fn`` over all integer inputs in [0, 2^n); each value must be 0 or 1."""
         n = _check_arity(n)
-        return cls(n, [int(fn(x)) & 1 for x in range(1 << n)])
+        return cls(n, [fn(x) for x in range(1 << n)])
 
     @classmethod
     def from_string(cls, text: str, n: int | None = None) -> "TruthTable":
@@ -419,29 +421,34 @@ def _in_threads(run: Callable[..., None], args: list[tuple]) -> None:
         raise errors[0]
 
 
-def _blocked_pass(
-    view: np.ndarray, pair: Callable[..., None], chunk: int, scratch: np.ndarray, temps: np.ndarray
-) -> None:
-    """Levels 1 ... L/2 over axis 0 of an (L, C, B) view, ``chunk`` columns at a time.
+def _blocked_pass(view: np.ndarray, pair: Callable[..., None]) -> None:
+    """Levels 1 ... L/2 over axis 0 of an (L, C, B) view, in blocks of columns.
 
-    Each column block is copied into a worker's scratch block, runs all its
-    levels there and is copied back.  The blocks are shared out in
-    contiguous runs, one per row of ``scratch`` and ``temps``.
+    A block is as many columns as fit ``_SCRATCH`` entries, at least one.  A
+    view of at least ``_THREAD_ENTRIES`` entries shares its blocks out in
+    contiguous runs over ``_WORKERS`` workers, never more than it has blocks.
+    Each worker copies a block into its own scratch block, runs all its levels
+    there with a pair temporary of half that size, and copies it back.  The
+    caller allocates both, so that no thread's malloc arena keeps their pages.
     """
-    rows = view.shape[0]
+    rows, cols, width = view.shape
+    if rows == 1:
+        return
+    chunk = max(1, min(_SCRATCH // (rows * width), cols))
+    starts = range(0, cols, chunk)
+    workers = min(_WORKERS if view.size >= _THREAD_ENTRIES else 1, len(starts))
 
-    def run(starts, block, t):
-        for lo in starts:
+    def run(share, block, t):
+        for lo in share:
             part = view[:, lo : lo + chunk]
             work = block[: part.size].reshape(part.shape)
             work[...] = part
             _levels(work.reshape(rows, -1), pair, t)
             part[...] = work
 
-    starts = range(0, view.shape[1], chunk)
-    workers = min(len(scratch), len(starts))
-    _in_threads(run, [(starts[i * len(starts) // workers : (i + 1) * len(starts) // workers],
-                       scratch[i], temps[i]) for i in range(workers)])
+    size = chunk * rows * width
+    _in_threads(run, [(share, np.empty(size, view.dtype), np.empty(size // 2, view.dtype))
+                      for share in np.array_split(starts, workers)])
 
 
 def _butterfly(a: np.ndarray, pair: Callable[..., None]) -> None:
@@ -451,43 +458,24 @@ def _butterfly(a: np.ndarray, pair: Callable[..., None]) -> None:
     run of 2h rows; with the table axis innermost each half is h * B
     contiguous entries (Arndt, *Matters Computational*).  No level pairs rows
     of two different (2^m, B) slices, so each leading slice runs all its
-    levels on its own before the next one starts: at n = 20 the ancilla
-    route's (2, 2^n, 1) state passes through the cache one 8 MiB half at a
-    time.
+    levels in two cache-blocked passes (the four-step split of Bailey, "FFTs
+    in external or hierarchical memory") before the next one starts: with
+    G = 2^(m//2), levels 1 ... G/2 over the (G, 2^m / G, B) transpose of the
+    slice, then levels G ... 2^(m-1) over the slice as (2^m / G, G, B).
 
-    Every slice runs its levels in two cache-blocked passes (the four-step
-    split of Bailey, "FFTs in external or hierarchical memory"), with
-    G = 2^(m//2).  The low pass runs levels 1 ... G/2 over the
-    (G, 2^m / G, B) transpose of the slice, the high pass levels
-    G ... 2^(m-1) over the slice as (2^m / G, G, B).  Either pass copies a
-    block of columns of its view (as many as fit ``_SCRATCH`` entries, at
-    least one) into a scratch block, runs all its levels there on halves of
-    h * columns * B contiguous entries, and copies it back.
-
-    The column blocks of a pass are disjoint, so in a slice of at least
-    2^20 entries they are shared out between the caller and up to
-    ``_WORKERS - 1`` threads, ``_WORKERS`` being the CPUs of the process's
-    affinity mask, at most ``_MAX_WORKERS``.  The caller allocates each
-    worker's scratch block and pair temporary.  Every entry meets the same
-    partner under the same elementwise ``pair`` in the same level order,
-    whatever the blocking and the threads, so the result is bit-identical to
-    one loop over all levels.
+    Every entry meets the same partner under the same elementwise ``pair`` in
+    the same level order, whatever the blocking and the threads of
+    ``_blocked_pass``, so the result is bit-identical to one loop over all
+    levels.
     """
     if not a.flags.c_contiguous:
         raise ValueError("the butterfly runs in place on a C-contiguous array")
     size, width = a.shape[-2:]
     group = 1 << (size.bit_length() - 1) // 2
-    rows = size // group
-    low = max(1, min(_SCRATCH // (group * width), rows))  # groups per low block
-    high = max(1, min(_SCRATCH // (rows * width), group))  # columns per high block
-    block = max(low * group, high * rows) * width
-    workers = _WORKERS if size * width >= _THREAD_ENTRIES else 1
-    scratch = np.empty((workers, block), a.dtype)
-    temps = np.empty((workers, block // 2), a.dtype)
     for sub in a.reshape(-1, size, width):
-        groups = sub.reshape(rows, group, width)
-        _blocked_pass(groups.transpose(1, 0, 2), pair, low, scratch, temps)
-        _blocked_pass(groups, pair, high, scratch, temps)
+        groups = sub.reshape(size // group, group, width)
+        _blocked_pass(groups.transpose(1, 0, 2), pair)
+        _blocked_pass(groups, pair)
 
 
 def _xor_pair(x: np.ndarray, y: np.ndarray, t: np.ndarray | None = None) -> None:
@@ -513,10 +501,17 @@ def from_anf(a: AnfPolynomial) -> TruthTable:
 # ---------------------------------------------------------------------------
 
 
+def _constant_bit(c) -> int:
+    """A generator's constant ``c``: the integer 0 or 1, else ValueError."""
+    if _index(c, "c") not in (0, 1):
+        raise ValueError(f"c must be 0 or 1, got {c}")
+    return int(c)
+
+
 def make_constant(n: int, c: int) -> TruthTable:
     """The constant function f(x) = c."""
     n = _check_arity(n)
-    c = int(c) & 1
+    c = _constant_bit(c)
     return TruthTable(n, np.full(1 << n, c, dtype=np.uint8))
 
 
@@ -524,7 +519,7 @@ def make_affine(n: int, k: BitVector | int, c: int = 0) -> TruthTable:
     """f(x) = k.x XOR c; balanced for k != 0, constant for k = 0."""
     n = _check_arity(n)
     kv = _as_value(k, n)
-    c = int(c) & 1
+    c = _constant_bit(c)
     idx = np.arange(1 << n, dtype=np.int64)
     bits = (np.bitwise_count(idx & kv) & 1).astype(np.uint8) ^ c
     return TruthTable(n, bits)
@@ -559,7 +554,9 @@ def make_mm_bent(
     if half < 1 or 2 * half > MAX_ARITY:
         raise ValueError(f"half-arity must be in [1, {MAX_ARITY // 2}], got {half}")
     size = 1 << half
-    pi_arr = np.asarray(pi, dtype=np.int64)
+    pi_arr = np.asarray(pi)
+    if pi_arr.shape == (size,):  # a wrong shape keeps the permutation message below
+        pi_arr = _frozen_array(pi_arr, half, np.int64, "pi entries")
     if pi_arr.shape != (size,) or not np.array_equal(np.sort(pi_arr), np.arange(size)):
         raise ValueError(f"pi must be a permutation of [0, {size})")
     if g is None:

@@ -388,6 +388,8 @@ def render_bars(values: Sequence[float] | np.ndarray, title: str = "",
 
 def _bar_blocks(values, title: str, format: str):
     """``render_bars``'s text in blocks; every check runs before the first block."""
+    if not isinstance(title, str):
+        raise ValueError(f"render_bars title must be a string, got {_short_repr(title)}")
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError("render_bars needs a non-empty 1-d value sequence")

@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .boolfn import (BitVector, TruthTable, _butterfly, _check_arity, _check_even_arity,
-                     _Frozen, _frozen_array, _signs, _tables_per_block)
+                     _Frozen, _frozen_array, _index, _signs, _tables_per_block)
 
 
 def _square_sums(a: np.ndarray) -> np.ndarray:
@@ -254,7 +254,7 @@ def shuffle_search_bent(
     end of that block.
     """
     n = _check_even_arity(n)
-    max_iters = int(max_iters)
+    max_iters = _index(max_iters, "max_iters")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     size = 1 << n

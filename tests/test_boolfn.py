@@ -23,6 +23,7 @@ from bentspectra import (
     make_inner_product_bent,
     make_mm_bent,
     random_function,
+    render_bars,
     shuffle_search_bent,
     to_anf,
 )
@@ -104,6 +105,38 @@ def test_numpy_integer_values_are_accepted():
     assert TruthTable(2, [0, 0, 1, 1])(np.int64(2)) == 1
     assert make_affine(4, np.int32(9)) == make_affine(4, 9)
     assert make_mm_bent(np.int64(1), [1, 0]) == make_mm_bent(1, [1, 0])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TruthTable.from_int(2, 3.0), "mask must be an integer, got 3.0"),
+    (lambda: TruthTable.from_function(2, lambda x: 2), "table entries must be 0 or 1"),
+    (lambda: BitVector(3, 5).bit(1.0), "bit index must be an integer, got 1.0"),
+    (lambda: make_constant(3, 2), "c must be 0 or 1, got 2"),
+    (lambda: make_constant(2, -1), "c must be 0 or 1, got -1"),
+    (lambda: make_constant(3, 0.9), "c must be an integer, got 0.9"),
+    (lambda: make_affine(3, 1, 3), "c must be 0 or 1, got 3"),
+    (lambda: make_affine(3, 1, 1.5), "c must be an integer, got 1.5"),
+    (lambda: make_mm_bent(1, [0.5, 1.5]), "pi entries change value when cast to int64"),
+    (lambda: shuffle_search_bent(4, np.random.default_rng(0), 2.9),
+     "max_iters must be an integer, got 2.9"),
+    (lambda: render_bars([1.0, 2.0], title=123), "render_bars title must be a string, got 123"),
+], ids=["from-int", "from-function", "bit", "constant-2", "constant-minus-1", "constant-float",
+        "affine-3", "affine-float", "mm-bent-pi", "max-iters", "bars-title"])
+def test_generator_arguments_are_checked_not_truncated(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_numpy_integer_generator_arguments_are_accepted():
+    assert TruthTable.from_int(2, np.int64(3)) == TruthTable.from_int(2, 3)
+    assert BitVector(3, 5).bit(np.uint8(2)) == 1
+    assert make_constant(3, np.int64(1)) == make_constant(3, 1)
+    assert make_affine(3, 1, np.uint8(1)) == make_affine(3, 1, 1)
+    assert make_mm_bent(1, np.array([1, 0], np.uint8)) == make_mm_bent(1, [1, 0])
+    assert make_mm_bent(1, [1.0, 0.0]) == make_mm_bent(1, [1, 0])  # a lossless cast
+    assert TruthTable.from_function(2, lambda x: np.uint8(x == 3)) == TruthTable.from_int(2, 8)
+    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+    assert shuffle_search_bent(4, rng_a, np.int64(3)) == shuffle_search_bent(4, rng_b, 3)
 
 
 def test_dot_examples():
@@ -571,6 +604,24 @@ def test_threaded_butterfly_memory_is_the_workers_buffers(monkeypatch):
     # the low levels: one of np.getbufsize() entries for each of three operands
     per_worker = _SCRATCH + _SCRATCH // 2 + 3 * np.getbufsize()
     assert peak <= _MAX_WORKERS * per_worker * column.itemsize + (64 << 10)
+
+
+@pytest.mark.parametrize("shape, workers, block", [
+    ((2, 1 << 19), 1, 1 << 20),  # m = 1: one high block of one column, no low level
+    ((4, 1 << 18), 2, 1 << 19),  # m = 2: two blocks of one column in either pass
+])
+def test_pass_with_few_blocks_allocates_only_its_workers_buffers(monkeypatch, shape, workers,
+                                                                block):
+    monkeypatch.setattr(boolfn, "_WORKERS", 3)
+    wide = np.random.default_rng(0).standard_normal(shape)
+    tracemalloc.start()
+    try:
+        _butterfly(wide, _hadamard_pair)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    per_worker = block + block // 2 + 3 * np.getbufsize()
+    assert peak <= workers * per_worker * wide.itemsize + (64 << 10)
 
 
 @pytest.mark.parametrize("m", range(2, 13))

@@ -1,17 +1,23 @@
 """End-to-end CLI behavior: commands, piping, exit codes, determinism."""
 
+import argparse
+import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bentspectra import (
     TruthTable,
@@ -641,3 +647,111 @@ def test_svg_plot_is_ascii_under_the_c_locale(run, tmp_path, title):
     # the C locale decodes argv as ASCII, each other byte to a lone surrogate
     argv[4] = os.fsencode(title).decode("ascii", "surrogateescape")
     assert plot.stdout.decode("ascii") == run(argv)[1]
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing
+# ---------------------------------------------------------------------------
+
+
+def _subcommands():
+    """Each subcommand's parser, from the CLI's own parser; ``paper`` writes files, so not it."""
+    action = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return {name: p for name, p in action.choices.items() if name != "paper"}
+
+
+_SUBCOMMANDS = _subcommands()
+
+
+@st.composite
+def _artefacts(draw):
+    """A valid table, CSV report or JSON report at n <= 4, and whether it is JSON."""
+    n = draw(st.integers(1, 4))
+    tt = TruthTable.from_int(n, draw(st.integers(0, (1 << (1 << n)) - 1)))
+    kind = draw(st.sampled_from(["binary", "hex", "table-json", "csv", "report-json"]))
+    if kind == "binary" or kind == "hex" and n == 1:  # a hex table needs 4 entries
+        return tt.to_binary(), False
+    if kind == "hex":
+        return tt.to_hex(), False
+    if kind == "table-json":
+        return tt.to_json(), True
+    report = spectra.make_report(tt, generator=draw(st.sampled_from(["", "g", "inline"])))
+    if kind == "csv":
+        return spectra.export_csv(report), False
+    return spectra.export_json(report), True
+
+
+@st.composite
+def _mutated_texts(draw):
+    text, is_json = draw(_artefacts())
+    mutation = draw(st.sampled_from(
+        ["none", "truncate", "flip", "crlf", "bom", "respell"]
+        + (["nest", "bool", "reorder"] if is_json else [])))
+    if mutation == "truncate":
+        text = text[: draw(st.integers(0, max(0, len(text) - 1)))]
+    elif mutation == "flip" and text:
+        raw = bytearray(text.encode("latin-1"))
+        raw[draw(st.integers(0, len(raw) - 1))] ^= 1 << draw(st.integers(0, 7))
+        text = raw.decode("latin-1")
+    elif mutation == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif mutation == "bom":
+        text = "\ufeff" + text
+    elif mutation in ("respell", "bool"):
+        numbers = list(re.finditer(r"-?\d+(\.\d+)?(e-?\d+)?", text))
+        if numbers:
+            m = draw(st.sampled_from(numbers))
+            word = m.group()
+            spellings = (["true", "false"] if mutation == "bool" else
+                         [f"+{word}", f"{word}.0", f"{word[0]}_{word[1:]}", "inf", "-inf",
+                          "nan", "1_0", "1.0", "+1", " 1"])
+            text = text[: m.start()] + draw(st.sampled_from(spellings)) + text[m.end():]
+    elif mutation == "nest":
+        depth = draw(st.sampled_from([1, 2, 100_000]))
+        text = "[" * depth + text + "]" * depth
+    elif mutation == "reorder":
+        obj = json.loads(text)
+        text = json.dumps(dict(reversed(list(obj.items()))))
+    return text
+
+
+@st.composite
+def _argvs(draw):
+    """argv of one subcommand, options and choices drawn from its parser, and a stdin text."""
+    name = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    argv = [name]
+    for action in _SUBCOMMANDS[name]._actions:
+        if not action.option_strings or action.dest in ("help", "infile", "out"):
+            continue  # --tt carries the texts, so no file is read or written
+        if not (action.required or draw(st.booleans())):
+            continue
+        if action.choices is not None:
+            value = draw(st.sampled_from(list(action.choices)))
+        elif action.dest == "tt":
+            value = draw(_mutated_texts())
+        elif action.type is int:
+            value = draw(st.integers(-2, 6))
+        else:
+            value = draw(st.text(max_size=8))
+        argv += [action.option_strings[-1], str(value)]
+    junk = draw(st.sampled_from([None] * 7 + ["--bogus", "x", "--n"]))
+    argv += [junk] if junk else []
+    return argv, draw(_mutated_texts())
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_argvs(), cap=st.sampled_from([None, "1", "2", "4", "30", "-3", "x", ""]))
+def test_fuzzed_argv_exits_cleanly(case, cap):
+    argv, stdin = case
+    env = {} if cap is None else {"BENTSPECTRA_MAX_N": cap}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env), mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if cap is None:
+            os.environ.pop("BENTSPECTRA_MAX_N", None)
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    if code == 2:
+        lines = [line for line in err.getvalue().splitlines() if not line.startswith("warning:")]
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)

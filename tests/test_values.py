@@ -157,6 +157,24 @@ def test_lossless_inputs_build_the_same_value():
     assert Amplitudes(1, [1, 0]).amps.tolist() == [1.0, 0.0]
 
 
+@pytest.mark.parametrize("build, given, name", [
+    (lambda a: TruthTable(2, a), np.array([0, 1, 1, 0], np.uint8), "bits"),
+    (lambda a: AnfPolynomial(2, a), np.array([0, 1, 1, 0], np.uint8), "coefficients"),
+    (lambda a: WalshSpectrum(2, a), np.array([2, 2, 2, -2], np.int32), "coeffs"),
+    (lambda a: Amplitudes(2, a), np.array([0.5, 0.5, 0.5, -0.5]), "amps"),
+    (lambda a: MeasurementHistogram(2, a, 10), np.array([1, 2, 3, 4], np.int64), "counts"),
+], ids=["TruthTable", "AnfPolynomial", "WalshSpectrum", "Amplitudes", "MeasurementHistogram"])
+def test_constructors_copy_the_callers_array(build, given, name):
+    # the caller's array already has the stored dtype, so no cast forces a copy
+    value = build(given)
+    expected, digest = build(given.copy()), hash(value)
+    stored = getattr(value, name)
+    assert stored.dtype == given.dtype and not np.shares_memory(stored, given)
+    given[-1] += 1
+    assert value == expected and hash(value) == digest
+    assert np.array_equal(getattr(value, name), getattr(expected, name))
+
+
 @pytest.mark.parametrize("check, name, edit", [
     (_check_bits, "bits", lambda v: 2),
     (_check_spectra, "w", lambda v: 9),  # out of range
