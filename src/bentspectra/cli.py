@@ -17,8 +17,9 @@ commands compose through pipes: ``bentspectra gen --kind ip-bent --n 4 |
 bentspectra dj | bentspectra plot``.
 
 Exit codes: 0 success, 1 usage error, 2 validation or file error, 3
-internal invariant violation.  The env var BENTSPECTRA_MAX_N lowers the
-arity cap of every command (values above 24 are clamped).
+internal invariant violation, 141 output pipe closed by its reader.  The env
+var BENTSPECTRA_MAX_N lowers the arity cap of every command (values above 24
+are clamped).
 """
 
 from __future__ import annotations
@@ -260,7 +261,8 @@ def _plot_input(args, cap: int) -> str:
 
 
 def _cmd_plot(args, cap: int) -> int:
-    # no caller name holds the text, so the reader can free it once it has a stripped copy
+    # no caller name holds the text, so the reader can free it once it has a stripped
+    # copy; an exported CSV is checked as it is given, with no copy at all
     report = spectra.read_report(_plot_input(args, cap))
     _check_arity(report.n, cap)
     _write(_bars(report, args.column, args.format, args.title), args.out)
@@ -359,7 +361,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return _COMMANDS[args.command](args, _arity_cap())
+        code = _COMMANDS[args.command](args, _arity_cap())
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: print nothing, not even at exit, and
+        # exit as a shell reports a process killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

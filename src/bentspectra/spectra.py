@@ -126,15 +126,16 @@ def _p_columns(start: int, stop: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(thousands, high - first), (_LOW_DIGITS, low + 1000 * (high > 0))]
 
 
-def _row_blocks(head: str, tails: list[str], index: np.ndarray, sep: str, end: str,
-                lead=lambda start, stop: []):
-    """``head``, then the rows in blocks of ``_BLOCK_ROWS``.
+def _row_blocks(head: str, values: np.ndarray, tail, sep: str, end: str, lead=_p_columns):
+    """``head``, then one row per entry of ``values``, in blocks of ``_BLOCK_ROWS``.
 
     Row i is the leading columns ``lead(start, stop)`` gives it, then
-    ``tails[index[i]]`` and ``sep``; the last row ends in ``end`` in place of
-    ``sep``.
+    ``tail(values[i])`` and ``sep``; the last row ends in ``end`` in place of
+    ``sep``.  ``tail`` runs once per distinct value.
     """
     yield head
+    distinct, index = _distinct(values)
+    tails = [tail(v) for v in distinct.tolist()]
     table = _table([t + sep for t in tails])
     for start in range(0, index.size, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, index.size)
@@ -158,17 +159,11 @@ def _join(columns: list[tuple[np.ndarray, np.ndarray]], last: str | None) -> str
     return "".join(flat)
 
 
-def _indexed_blocks(head: str, values: np.ndarray, tail, sep: str, end: str):
-    """Blocks of ``f"{p}{tail(values[p])}"`` per outcome p; ``tail`` runs once per distinct value."""
-    distinct, index = _distinct(values)
-    return _row_blocks(head, [tail(v) for v in distinct.tolist()], index, sep, end, _p_columns)
-
-
 def _report_blocks(report: SpectrumReport, head: str, row: str, sep: str, end: str):
     """Rows tailed by ``row.format(w, a, a * a)``, a = w / 2^n as the report computes it."""
     scale = float(1 << report.n)
-    return _indexed_blocks(head, report.walsh,
-                           lambda w: row.format(w, a := w / scale, a * a), sep, end)
+    return _row_blocks(head, report.walsh, lambda w: row.format(w, a := w / scale, a * a),
+                       sep, end)
 
 
 def _csv_blocks(report: SpectrumReport):
@@ -274,7 +269,7 @@ def _read_csv(lines: list[str]) -> SpectrumReport:
 
 
 def _canonical_csv(text: str) -> SpectrumReport | None:
-    """The report whose ``export_csv``, stripped, is ``text``; None for any other text.
+    """The report whose ``export_csv`` is exactly ``text``; None for any other text.
 
     Reads only the walsh field of each row, digit by digit from the bytes, and
     rebuilds the report from it.  Acceptance rests on the re-export equalling
@@ -302,39 +297,39 @@ def _canonical_csv(text: str) -> SpectrumReport | None:
                                               np.where(negative, -w, w)))
     except ValueError:
         return None
-    # the export, block by block, must be the text and the newline it was stripped of
-    at = 0
+    at = 0  # the export, block by block, must be the text
     for block in _csv_blocks(report):
-        if text.startswith(block, at):
-            at += len(block)
-        elif at + len(block) == len(text) + 1 and text.startswith(block[:-1], at):
-            at = len(text) + 1
-        else:
+        if not text.startswith(block, at):
             return None
-    return report if at == len(text) + 1 else None
+        at += len(block)
+    return report if at == len(text) else None
 
 
 def read_report(text: str) -> SpectrumReport:
     """Parse a report previously exported as CSV or JSON.
 
-    A CSV is first rebuilt from its walsh column alone and accepted when the
-    rebuilt report's export is the text itself; any other text (other line
-    ends or number spellings, say) is parsed field by field, to the same
-    report or the same error.  In JSON, n and any seed must be integers and
-    any generator a string.  Malformed input, deep JSON nesting included, or
-    self-contradicting input raises ``ValueError``.
+    The text as given, uncopied, is first read as a CSV: the report is rebuilt
+    from its walsh column alone and accepted when its export is the text
+    itself.  Any other text (other line ends, blank lines or number
+    spellings, surrounding whitespace, no final newline, say) is stripped and
+    parsed field by field, to the same report or the same error.  In JSON, n
+    and any seed must be integers and any generator a string.  Malformed
+    input, deep JSON nesting included, or self-contradicting input raises
+    ``ValueError``.
     """
+    report = _canonical_csv(text)
+    if report is not None:
+        return report
     text = text.strip()
     if not text:
         raise ValueError("empty report")
     if text.startswith("{"):
         return _read_json(_load_json(text, "report"))
-    report = _canonical_csv(text)
-    return _read_csv(text.splitlines()) if report is None else report
+    return _read_csv(text.splitlines())
 
 
 def _walsh_csv_blocks(spec: WalshSpectrum):
-    return _indexed_blocks("p,walsh\n", spec.coeffs, ",{}".format, "\n", "\n")
+    return _row_blocks("p,walsh\n", spec.coeffs, ",{}".format, "\n", "\n")
 
 
 def export_walsh_csv(spec: WalshSpectrum) -> str:
@@ -343,7 +338,7 @@ def export_walsh_csv(spec: WalshSpectrum) -> str:
 
 
 def _histogram_csv_blocks(hist):
-    return _indexed_blocks("p,count\n", hist.counts, ",{}".format, "\n", "\n")
+    return _row_blocks("p,count\n", hist.counts, ",{}".format, "\n", "\n")
 
 
 def export_histogram_csv(hist) -> str:
@@ -356,9 +351,8 @@ def _histogram_json_blocks(hist, seed: int | None = None):
     if seed is not None:
         obj["seed"] = _index(seed, "histogram seed")
     head = json.dumps(obj, indent=2)[: -len("\n}")] + ',\n  "counts": [\n'
-    distinct, index = _distinct(hist.counts)
-    return _row_blocks(head, [f"    {c}" for c in distinct.tolist()], index, ",\n",
-                       "\n  ]\n}\n")
+    return _row_blocks(head, hist.counts, "    {}".format, ",\n", "\n  ]\n}\n",
+                       lambda start, stop: [])
 
 
 def export_histogram_json(hist, seed: int | None = None) -> str:
@@ -480,11 +474,9 @@ def _svg_blocks(vals: np.ndarray, title: str):
     foot = (f'\n<line x1="{left:.2f}" y1="{base_y:.2f}" x2="{left + plot_w:.2f}" '
             f'y2="{base_y:.2f}" stroke="black"/>\n</svg>\n')
 
-    # every bar of the same |v| shares the text after its x attribute
-    magnitudes, inv = _distinct(np.abs(vals))
-    tails = []
-    for v in magnitudes.tolist():
+    def tail(v: float) -> str:  # every bar of the same |v| shares the text after its x
         h = 0.0 if peak == 0.0 else plot_h * v / peak
-        tails.append(f'" y="{base_y - h:.2f}" width="{bar_w:.2f}" '
-                     f'height="{h:.2f}" fill="steelblue"/>')
-    return _row_blocks(head, tails, inv, "\n", foot, partial(_x_columns, left, slot, offset))
+        return f'" y="{base_y - h:.2f}" width="{bar_w:.2f}" height="{h:.2f}" fill="steelblue"/>'
+
+    return _row_blocks(head, np.abs(vals), tail, "\n", foot,
+                       partial(_x_columns, left, slot, offset))

@@ -634,6 +634,22 @@ def test_pipeline_through_subprocesses():
     assert len([e for e in root.iter() if e.tag.endswith("rect")]) == 16
 
 
+# dj's 2^14 rows are written long after the pipe closes; verify's one line waits
+# in stdout's buffer until the command ends
+@pytest.mark.parametrize("command, lines", [("dj", 1), ("verify", 0)])
+def test_closed_output_pipe_exits_141_quietly(tmp_path, command, lines):
+    table = tmp_path / "f.tt"
+    table.write_text(random_function(14, np.random.default_rng(14)).text() + "\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with subprocess.Popen([sys.executable, "-m", "bentspectra", command, "--in", str(table)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        for _ in range(lines):
+            proc.stdout.readline()
+        proc.stdout.close()  # as `| head -1` does
+        err = proc.stderr.read()
+    assert proc.returncode == 141 and err == b""
+
+
 @pytest.mark.parametrize("title", ["k9", "é"])
 def test_svg_plot_is_ascii_under_the_c_locale(run, tmp_path, title):
     report = tmp_path / "report.csv"

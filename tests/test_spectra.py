@@ -794,10 +794,11 @@ def test_csv_read_memory_at_n16():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # about 11 MiB: the text's bytes, the numpy columns and one block of the
-    # re-export (20 MiB when the whole re-export was built); parsing every field
-    # as a Python string and number took 31 MiB
-    assert peak <= 28 << 20, peak
+    # 7.6 MiB: the text's bytes, the numpy columns and one block of the
+    # re-export; 10.9 MiB when the reader checked a stripped copy of the text,
+    # 20 MiB when it built the whole re-export, and parsing every field as a
+    # Python string and number took 31 MiB
+    assert peak <= 9 << 20, peak
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +813,7 @@ def test_svg_x_strings_match_per_bar_format_for_every_power_of_two_bar_count():
         count = 1 << n
         slot = 750.0 / count
         offset = (slot - slot * 0.9) / 2
-        blocks = spectra._row_blocks("", [""], np.zeros(count, dtype=np.int32), "\n", "\n",
+        blocks = spectra._row_blocks("", np.zeros(count), lambda v: "", "\n", "\n",
                                      partial(spectra._x_columns, left, slot, offset))
         want = "".join([f'<rect x="{left + i * slot + offset:.2f}\n' for i in range(count)])
         assert "".join(blocks) == want, n
@@ -888,8 +889,8 @@ def test_canonical_csv_compares_the_export_block_by_block(monkeypatch):
     assert read_report(text) == report
     lines = text.strip().splitlines()
     # the seam rows, a row inside the second block and the last row, each edited
-    # outside its walsh field, and the text cut short of its last character
+    # outside its walsh field, and the export without its final newline
     for row in (spectra._BLOCK_ROWS - 1, spectra._BLOCK_ROWS, 100_000, len(lines) - 2):
-        assert spectra._canonical_csv(_edited(lines, row, 3, "9")) is None
-    assert spectra._canonical_csv(text.strip()[:-1]) is None
-    assert spectra._canonical_csv(text.strip()) == report
+        assert spectra._canonical_csv(_edited(lines, row, 3, "9") + "\n") is None
+    assert spectra._canonical_csv(text[:-1]) is None
+    assert spectra._canonical_csv(text) == report
