@@ -16,10 +16,12 @@ Tables are read from --tt, --in or stdin in the standard text format, so
 commands compose through pipes: ``bentspectra gen --kind ip-bent --n 4 |
 bentspectra dj | bentspectra plot``.
 
-Exit codes: 0 success, 1 usage error, 2 validation or file error, 3
-internal invariant violation, 141 output pipe closed by its reader.  The env
-var BENTSPECTRA_MAX_N lowers the arity cap of every command (values above 24
-are clamped).
+Exit codes: 0 success, 1 usage error, 2 validation or file error, 3 a
+``verify`` route that disagrees with the literal sum or fails its own value
+check, 141 output pipe closed by its reader.  Commands fail by raising;
+``main`` alone turns a failure into its one ``error:`` line and exit code.
+The env var BENTSPECTRA_MAX_N lowers the arity cap of every command (values
+above 24 are clamped).
 """
 
 from __future__ import annotations
@@ -179,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_gen(args, cap: int) -> int:
+def _cmd_gen(args, cap: int) -> None:
     n = _check_arity(args.n, cap)
     rng = np.random.default_rng(args.seed)
     if args.kind == "constant":
@@ -205,31 +207,27 @@ def _cmd_gen(args, cap: int) -> int:
             )
         tt = result.table
     _write([tt.text() + "\n"], args.out)
-    return 0
 
 
-def _cmd_walsh(args, cap: int) -> int:
+def _cmd_walsh(args, cap: int) -> None:
     tt, _ = _read_table(args, cap)
     _write(spectra._walsh_csv_blocks(walsh.fwht(tt)), args.out)
-    return 0
 
 
-def _cmd_classify(args, cap: int) -> int:
+def _cmd_classify(args, cap: int) -> None:
     tt, _ = _read_table(args, cap)
     result = walsh.classify(walsh.fwht(tt))
     _write([json.dumps({"n": tt.n, **result.as_dict()}, indent=2) + "\n"], args.out)
-    return 0
 
 
-def _cmd_dj(args, cap: int) -> int:
+def _cmd_dj(args, cap: int) -> None:
     tt, source = _read_table(args, cap)
     report = spectra.make_report(tt, generator=source)
     blocks = spectra._csv_blocks if args.format == "csv" else spectra._json_blocks
     _write(blocks(report), args.out)
-    return 0
 
 
-def _cmd_sample(args, cap: int) -> int:
+def _cmd_sample(args, cap: int) -> None:
     tt, _ = _read_table(args, cap)
     amps = djsim.amplitudes_from_walsh(walsh.fwht(tt))
     hist = djsim.sample_measurements(amps, args.shots, np.random.default_rng(args.seed))
@@ -237,7 +235,6 @@ def _cmd_sample(args, cap: int) -> int:
         _write(spectra._histogram_csv_blocks(hist), args.out)
     else:
         _write(spectra._histogram_json_blocks(hist, seed=args.seed), args.out)
-    return 0
 
 
 def _bars(report: spectra.SpectrumReport, column: str, fmt: str,
@@ -260,16 +257,16 @@ def _plot_input(args, cap: int) -> str:
     return text
 
 
-def _cmd_plot(args, cap: int) -> int:
+def _cmd_plot(args, cap: int) -> None:
     # no caller name holds the text, so the reader can free it once it has a stripped
-    # copy; an exported CSV is checked as it is given, with no copy at all
+    # copy; an exported CSV is checked as it is given, with no copy at all, and one
+    # that differs from an export only by surrounding whitespace as stripped
     report = spectra.read_report(_plot_input(args, cap))
     _check_arity(report.n, cap)
     _write(_bars(report, args.column, args.format, args.title), args.out)
-    return 0
 
 
-def _cmd_verify(args, cap: int) -> int:
+def _cmd_verify(args, cap: int) -> None:
     if args.random is not None:
         if args.tt is not None or args.infile:
             raise ValueError("give at most one of --random, --tt and --in")
@@ -294,20 +291,14 @@ def _cmd_verify(args, cap: int) -> int:
         (djsim._worst_deviation(n, first, bits) for first, bits in blocks), key=lambda w: w[0]
     )
     ok = deviation < ROUTE_TOLERANCE
-    status = "OK" if ok else "FAIL"
-    print(
-        f"verified {count} table(s) at n={n}: "
-        f"max route deviation {deviation:.3e} ({status})"
-    )
+    # flushed here, inside main's closed-pipe guard and ahead of any error line
+    print(f"verified {count} table(s) at n={n}: "
+          f"max route deviation {deviation:.3e} ({'OK' if ok else 'FAIL'})", flush=True)
     if not ok:
-        print(
-            "error: amplitude routes disagree beyond tolerance: "
-            f"{route} route off the literal sum by {deviation:.3e} "
-            f"on table {table} at p={p}",
-            file=sys.stderr,
+        raise djsim.RouteFault(
+            "amplitude routes disagree beyond tolerance: "
+            f"{route} route off the literal sum by {deviation:.3e} on table {table} at p={p}"
         )
-        return 3
-    return 0
 
 
 def _scenario_tables() -> list[tuple[str, str, TruthTable, int | None]]:
@@ -326,7 +317,7 @@ def _scenario_tables() -> list[tuple[str, str, TruthTable, int | None]]:
     ]
 
 
-def _cmd_paper(args, cap: int) -> int:
+def _cmd_paper(args, cap: int) -> None:
     scenarios = _scenario_tables()
     for _, _, tt, _ in scenarios:
         _check_arity(tt.n, cap)
@@ -339,7 +330,6 @@ def _cmd_paper(args, cap: int) -> int:
         _write(spectra._csv_blocks(report), csv_path)
         _write(_bars(report, "probability", "svg"), svg_path)
         print(f"wrote {csv_path} and {svg_path}")
-    return 0
 
 
 _COMMANDS = {
@@ -361,17 +351,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        code = _COMMANDS[args.command](args, _arity_cap())
+        _COMMANDS[args.command](args, _arity_cap())
         sys.stdout.flush()
-        return code
-    except BrokenPipeError:
+        return 0
+    except BrokenPipeError:  # an OSError, so it is caught first
         # the reader closed stdout early: print nothing, not even at exit, and
         # exit as a shell reports a process killed by SIGPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, djsim.RouteFault) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, djsim.RouteFault) else 2
 
 
 if __name__ == "__main__":

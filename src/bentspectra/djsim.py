@@ -32,6 +32,7 @@ quantum query advantage is claimed or implied.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -189,28 +190,60 @@ def simulate_with_ancilla(tt: TruthTable) -> Amplitudes:
     return Amplitudes(tt.n, _ancilla_columns(tt.n, tt.bits[:, None])[:, 0])
 
 
-def _walsh_columns(n: int, bits: np.ndarray) -> np.ndarray:
+class RouteFault(Exception):
+    """A route of ``verify`` disagrees with the literal sum or fails its own value check."""
+
+
+def _check_route(route: str, check, values: np.ndarray, first: int,
+                 amps: np.ndarray | None = None, direct: np.ndarray | None = None) -> None:
+    """Run ``check`` on a block of table columns; a failure is a ``RouteFault``.
+
+    The fault names the route and the first table whose column fails, and, given
+    the route's amplitudes and the literal sum, the p of that table's largest
+    deviation from it.  Only a failing block is checked column by column.
+    """
+    try:
+        return check(values)
+    except ValueError:
+        pass
+    for col in range(values.shape[1]):
+        try:
+            check(values[:, col:col + 1])
+        except ValueError as exc:
+            fault = f"{route} route {exc} on table {first + col}"
+            if direct is not None:
+                dev = np.abs(amps[:, col] - direct[:, col])
+                p = int(dev.argmax())
+                fault += f": off the literal sum by {dev[p]:.3e} at p={p}"
+            raise RouteFault(fault) from None
+
+
+def _walsh_columns(n: int, bits: np.ndarray, first: int, direct: np.ndarray) -> np.ndarray:
     w = _fwht_columns(bits)
-    _check_spectra(n, w)
-    return _scaled_spectra(n, w)
+    amps = _scaled_spectra(n, w)
+    _check_route("walsh", partial(_check_spectra, n), w, first, amps, direct)
+    return amps
 
 
 def _worst_deviation(n: int, first: int, bits: np.ndarray) -> tuple[float, str, int, int]:
     """Largest |route - literal sum| over the tables first, first + 1, ... in ``bits``.
 
     Returns it with its route, table and outcome p.  Every value check that
-    ``TruthTable``, ``WalshSpectrum`` and ``Amplitudes`` make runs on every column.
+    ``TruthTable``, ``WalshSpectrum`` and ``Amplitudes`` make runs on every column:
+    invalid table entries raise ``ValueError``, and a route whose values fail
+    their check (the literal sum's or a statevector route's normalization, the
+    walsh route's range, parity or Parseval) raises ``RouteFault``.
     """
     _check_bits(bits)
     direct = _direct_columns(n, bits)
-    _check_normalized(direct)
+    _check_route("literal sum", _check_normalized, direct, first)
     # a running maximum, replaced only when strictly larger, keeps the first
     # maximum in (route, p, table) order
     worst = (-1.0, "", 0, 0)
-    for route, columns in (("walsh", _walsh_columns), ("circuit", _circuit_columns),
-                           ("ancilla", _ancilla_columns)):
+    for route, columns in (("walsh", partial(_walsh_columns, first=first, direct=direct)),
+                           ("circuit", _circuit_columns), ("ancilla", _ancilla_columns)):
         dev = columns(n, bits)
-        _check_normalized(dev)
+        _check_route(route, _check_normalized, dev, first, dev, direct)
         dev -= direct
         np.abs(dev, out=dev)
         p, col = np.unravel_index(int(dev.argmax()), dev.shape)

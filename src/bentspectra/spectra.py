@@ -310,12 +310,13 @@ def read_report(text: str) -> SpectrumReport:
 
     The text as given, uncopied, is first read as a CSV: the report is rebuilt
     from its walsh column alone and accepted when its export is the text
-    itself.  Any other text (other line ends, blank lines or number
-    spellings, surrounding whitespace, no final newline, say) is stripped and
-    parsed field by field, to the same report or the same error.  In JSON, n
-    and any seed must be integers and any generator a string.  Malformed
-    input, deep JSON nesting included, or self-contradicting input raises
-    ``ValueError``.
+    itself.  Any other text is stripped.  A CSV that then is an export but for
+    its final newline (one that lost it or gained surrounding whitespace) is
+    read the same way; any other (other line ends, blank lines or number
+    spellings, say) is parsed field by field, to the same report or the same
+    error.  In JSON, n and any seed must be integers and any generator a
+    string.  Malformed input, deep JSON nesting included, or self-contradicting
+    input raises ``ValueError``.
     """
     report = _canonical_csv(text)
     if report is not None:
@@ -325,7 +326,8 @@ def read_report(text: str) -> SpectrumReport:
         raise ValueError("empty report")
     if text.startswith("{"):
         return _read_json(_load_json(text, "report"))
-    return _read_csv(text.splitlines())
+    report = _canonical_csv(text + "\n")
+    return report if report is not None else _read_csv(text.splitlines())
 
 
 def _walsh_csv_blocks(spec: WalshSpectrum):

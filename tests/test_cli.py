@@ -500,6 +500,62 @@ def test_verify_random_block_mismatch_names_table_and_outcome(run, monkeypatch):
     )
 
 
+def _route_fault_line(run, argv):
+    """The one stderr line of a ``verify`` run that must end as a route fault (exit 3)."""
+    code, out, err = run(["verify", *argv])
+    assert (code, out) == (3, "") and err.count("\n") == 1
+    return err
+
+
+def test_verify_route_constant_off_in_its_14th_digit_is_a_route_fault(run, monkeypatch):
+    # the circuit route's deviation would pass the tolerance; its norm does not
+    monkeypatch.setattr(djsim, "_SQRT1_2", djsim._SQRT1_2 * (1 + 4e-14))
+    err = _route_fault_line(run, ["--random", "4", "--n", "8"])
+    assert re.fullmatch(r"error: circuit route amplitudes are not normalized on table 0: "
+                        r"off the literal sum by \d\.\d{3}e-1[34] at p=\d+\n", err), err
+
+
+@pytest.mark.parametrize("argv, call, p, table", [
+    (["--tt", "0001000100011110"], 1, 0, 0),
+    (["--random", "10", "--n", "4", "--seed", "3"], 2, 11, 5),  # column 1 of the second block
+])
+def test_verify_unnormalized_circuit_column_names_its_table_and_p(run, monkeypatch, argv, call,
+                                                                  p, table):
+    monkeypatch.setattr(boolfn, "_BLOCK_ENTRIES", 64)  # 4 tables of n=4
+    real, calls = djsim._circuit_columns, []
+
+    def circuit(n, bits):
+        amps = real(n, bits)
+        calls.append(bits.shape[1])
+        if len(calls) == call:
+            amps[p, table % 4] += 1e-9
+        return amps
+
+    monkeypatch.setattr(djsim, "_circuit_columns", circuit)
+    assert _route_fault_line(run, argv) == (
+        f"error: circuit route amplitudes are not normalized on table {table}: "
+        f"off the literal sum by 1.000e-09 at p={p}\n"
+    )
+
+
+def test_verify_walsh_route_failing_parseval_is_a_route_fault(run, monkeypatch):
+    real = djsim._fwht_columns
+    monkeypatch.setattr(djsim, "_fwht_columns", lambda bits: 3 * real(bits))
+    # a bent table: every |W| = 4 becomes 12, within range and parity
+    assert _route_fault_line(run, ["--tt", "0001000100011110"]) == (
+        "error: walsh route coefficient squares must sum to 4^n (Parseval) on table 0: "
+        "off the literal sum by 5.000e-01 at p=0\n"
+    )
+
+
+def test_verify_unnormalized_literal_sum_is_a_route_fault(run, monkeypatch):
+    real = djsim._direct_columns
+    monkeypatch.setattr(djsim, "_direct_columns", lambda n, bits: real(n, bits) * (1 + 1e-9))
+    assert _route_fault_line(run, ["--tt", "0001000100011110"]) == (
+        "error: literal sum route amplitudes are not normalized on table 0\n"
+    )
+
+
 def reference_route_deviation(tt):
     """The per-table route check ``verify`` made before it ran blocks."""
     direct = amplitudes_direct(tt).amps
