@@ -430,6 +430,14 @@ def _blocked_pass(view: np.ndarray, pair: Callable[..., None]) -> None:
     Each worker copies a block into its own scratch block, runs all its levels
     there with a pair temporary of half that size, and copies it back.  The
     caller allocates both, so that no thread's malloc arena keeps their pages.
+
+    A block's shortest contiguous run is chunk * B entries, at level 1.  Each
+    worker runs its blocks with numpy's ufunc buffer cut to that run, rounded
+    down to the multiple of 16 numpy requires, and never above the caller's
+    size.  numpy then runs the pair's ufuncs on the strided halves in place;
+    with a longer buffer it copies every operand through the buffer and back.
+    The buffer size lives in numpy's ``errstate`` context, so the caller's
+    setting comes back when the worker returns or raises.
     """
     rows, cols, width = view.shape
     if rows == 1:
@@ -437,14 +445,17 @@ def _blocked_pass(view: np.ndarray, pair: Callable[..., None]) -> None:
     chunk = max(1, min(_SCRATCH // (rows * width), cols))
     starts = range(0, cols, chunk)
     workers = min(_WORKERS if view.size >= _THREAD_ENTRIES else 1, len(starts))
+    bufsize = max(16, min(np.getbufsize(), chunk * width) // 16 * 16)
 
     def run(share, block, t):
-        for lo in share:
-            part = view[:, lo : lo + chunk]
-            work = block[: part.size].reshape(part.shape)
-            work[...] = part
-            _levels(work.reshape(rows, -1), pair, t)
-            part[...] = work
+        with np.errstate():
+            np.setbufsize(bufsize)
+            for lo in share:
+                part = view[:, lo : lo + chunk]
+                work = block[: part.size].reshape(part.shape)
+                work[...] = part
+                _levels(work.reshape(rows, -1), pair, t)
+                part[...] = work
 
     size = chunk * rows * width
     _in_threads(run, [(share, np.empty(size, view.dtype), np.empty(size // 2, view.dtype))

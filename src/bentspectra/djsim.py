@@ -126,11 +126,15 @@ def amplitudes_from_walsh(spec: WalshSpectrum) -> Amplitudes:
 
 
 def _hadamard_pair(x: np.ndarray, y: np.ndarray, t: np.ndarray | None = None) -> None:
+    """One Hadamard level on the halves: x, y <- (x + y) S, (x - y) S, with S = 1/sqrt(2).
+
+    ``t`` holds x - y while ``x`` changes.  Each output is the rounded sum or
+    difference times S, rounded once more.
+    """
     t = np.subtract(x, y, out=t)
-    t *= _SQRT1_2
     x += y
     x *= _SQRT1_2
-    y[:] = t
+    np.multiply(t, _SQRT1_2, out=y)
 
 
 def _signed_layer(levels: int, bits: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -590,6 +590,34 @@ def test_worker_exception_reaches_the_caller(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_butterfly_leaves_numpys_buffer_size_and_error_modes_as_it_found_them(monkeypatch):
+    monkeypatch.setattr(boolfn, "_WORKERS", 3)
+    seen = set()
+
+    def recording(x, y, t=None):
+        seen.add(np.getbufsize())
+        _sum_diff(x, y, t)
+
+    def failing_on(main):
+        def pair(x, y, t=None):
+            if (threading.current_thread() is threading.main_thread()) == main:
+                raise RuntimeError("pair failed")
+            _sum_diff(x, y, t)
+        return pair
+
+    with np.errstate(over="raise", under="warn"):
+        np.setbufsize(4096)
+        before = np.getbufsize(), np.geterr()
+        _butterfly(np.ones((1 << 20, 1), np.int32), recording)
+        # each pass's blocks are (1024, 128) here, so its shortest run is 128
+        assert seen == {128}
+        assert (np.getbufsize(), np.geterr()) == before
+        for main in (True, False):
+            with pytest.raises(RuntimeError, match="^pair failed$"):
+                _butterfly(np.ones((1 << 20, 1), np.int32), failing_on(main))
+            assert (np.getbufsize(), np.geterr()) == before, main
+
+
 def test_threaded_butterfly_memory_is_the_workers_buffers(monkeypatch):
     monkeypatch.setattr(boolfn, "_WORKERS", _MAX_WORKERS)
     column = np.random.default_rng(0).standard_normal((1 << 20, 1))
@@ -599,10 +627,9 @@ def test_threaded_butterfly_memory_is_the_workers_buffers(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # each worker's scratch block, its pair temporary of half that size, and
-    # the buffers numpy's ufunc iterator takes for the short strided runs of
-    # the low levels: one of np.getbufsize() entries for each of three operands
-    per_worker = _SCRATCH + _SCRATCH // 2 + 3 * np.getbufsize()
+    # each worker's scratch block and its pair temporary of half that size;
+    # numpy's ufunc buffers, cut to a block's shortest run, fit the slack
+    per_worker = _SCRATCH + _SCRATCH // 2
     assert peak <= _MAX_WORKERS * per_worker * column.itemsize + (64 << 10)
 
 
@@ -620,7 +647,7 @@ def test_pass_with_few_blocks_allocates_only_its_workers_buffers(monkeypatch, sh
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    per_worker = block + block // 2 + 3 * np.getbufsize()
+    per_worker = block + block // 2
     assert peak <= workers * per_worker * wide.itemsize + (64 << 10)
 
 
@@ -635,7 +662,7 @@ def test_butterfly_memory_on_verify_blocks_is_one_workers_buffers(m):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    per_worker = _SCRATCH + _SCRATCH // 2 + 3 * np.getbufsize()
+    per_worker = _SCRATCH + _SCRATCH // 2
     assert peak <= per_worker * block.itemsize + (64 << 10)
 
 

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -554,6 +555,47 @@ def test_verify_unnormalized_literal_sum_is_a_route_fault(run, monkeypatch):
     assert _route_fault_line(run, ["--tt", "0001000100011110"]) == (
         "error: literal sum route amplitudes are not normalized on table 0\n"
     )
+
+
+def _fault_in_first_hadamard_block(monkeypatch, chosen, faulty):
+    """Patch ``boolfn._levels`` so that ``faulty(a, pair, t)`` replaces the levels of the
+    first Hadamard block ``a`` for which ``chosen(a)`` holds; return the blocks it hit."""
+    real, lock, hit = boolfn._levels, threading.Lock(), []
+
+    def levels(a, pair, t):
+        with lock:
+            fault = not hit and pair is djsim._hadamard_pair and chosen(a)
+            if fault:
+                hit.append(a.shape)
+        (faulty if fault else real)(a, pair, t)
+
+    monkeypatch.setattr(boolfn, "_levels", levels)
+    return real, hit
+
+
+def test_verify_butterfly_skipping_level_1_in_one_block_is_a_route_fault(run, monkeypatch):
+    def without_level_1(a, pair, t):
+        calls = iter(range(a.shape[0]))
+        real(a, lambda x, y, t: next(calls) and pair(x, y, t), t)  # the first call is level 1
+
+    real, hit = _fault_in_first_hadamard_block(monkeypatch, lambda a: True, without_level_1)
+    code, out, err = run(["verify", "--random", "4", "--n", "8", "--seed", "1"])
+    assert (code, len(hit)) == (3, 1) and out.endswith("(FAIL)\n")
+    assert err == ("error: amplitude routes disagree beyond tolerance: circuit route off "
+                   "the literal sum by 3.689e-01 on table 1 at p=149\n")
+
+
+def test_verify_worker_dropping_its_first_block_is_a_route_fault(run, monkeypatch):
+    # the n = 12 blocks of 64 tables run threaded once 2^10 entries do
+    monkeypatch.setattr(boolfn, "_THREAD_ENTRIES", 1 << 10)
+    monkeypatch.setattr(boolfn, "_WORKERS", 3)
+    _, hit = _fault_in_first_hadamard_block(
+        monkeypatch, lambda a: threading.current_thread() is not threading.main_thread(),
+        lambda a, pair, t: None)
+    code, out, err = run(["verify", "--random", "64", "--n", "12", "--seed", "1"])
+    assert (code, len(hit)) == (3, 1) and out.endswith("(FAIL)\n")
+    assert err.startswith("error: amplitude routes disagree beyond tolerance: circuit route off "
+                          "the literal sum by "), err
 
 
 def reference_route_deviation(tt):

@@ -163,6 +163,16 @@ def test_column_bodies_match_single_tables_bit_for_bit(n):
             assert np.array_equal(block[:, b], route(tt).amps), route.__name__
 
 
+@pytest.mark.parametrize("scratch", [False, True])
+def test_hadamard_pair_scales_the_rounded_sum_and_difference(scratch):
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((2, 4096))
+    x[::7], y[::5] = -0.0, 0.0
+    want = (x + y) * _SQRT1_2, (x - y) * _SQRT1_2
+    _hadamard_pair(x, y, np.empty_like(x) if scratch else None)
+    assert (x.tobytes(), y.tobytes()) == (want[0].tobytes(), want[1].tobytes())
+
+
 def reference_circuit_columns(n, bits):
     """Gate by gate: |0..0>, H^n, the phase oracle, H^n."""
     state = np.zeros(bits.shape, dtype=np.float64)
