@@ -143,17 +143,34 @@ class _Frozen:
                           for a in self._fields()))
 
 
-def _frozen_array(values, n: int, dtype: type, what: str) -> np.ndarray:
-    """Read-only (2^n,) copy of ``values`` as ``dtype``.
+class _Fresh:
+    """An array the library has just made, handed to a value type to keep uncopied.
 
+    Wrap only a buffer that nothing else refers to: the value type sets it
+    read-only and stores it.  A caller's array is never wrapped, so the
+    public constructors keep copying what they are given.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+def _frozen_array(values, n: int, dtype: type, what: str) -> np.ndarray:
+    """Read-only (2^n,) copy of ``values`` as ``dtype``; a ``_Fresh`` array itself.
+
+    A ``_Fresh`` array of ``dtype`` is adopted as it is, and of another
+    dtype cast once; either way it meets the same checks in the same order.
     The cast must keep every value: entries that would wrap, truncate or
     lose their imaginary part, NaN and infinities raise ``ValueError``.
     """
-    src = np.asarray(values)
+    fresh = type(values) is _Fresh
+    src = values.array if fresh else np.asarray(values)
     if src.shape != (1 << n,):
         raise ValueError(f"expected {1 << n} {what}, got {src.shape}")
     if np.can_cast(src.dtype, dtype):
-        arr = src.astype(dtype)
+        arr = src.astype(dtype, copy=not fresh)
     else:
         if src.dtype.kind not in "iuf":
             raise ValueError(f"{what} must be real numbers, got dtype {src.dtype}")
@@ -347,7 +364,9 @@ class AnfPolynomial(_Frozen):
         arr = _frozen_array(coefficients, n, np.uint8, "coefficients")
         if arr.max(initial=0) > 1:
             raise ValueError("coefficients must be 0 or 1")
-        degree = int((np.bitwise_count(np.arange(1 << n, dtype=np.uint32)) * arr).max())
+        weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+        weights *= arr  # each monomial's degree where its coefficient is 1
+        degree = int(weights.max())
         self._set(n=n, coefficients=arr, degree=degree)
 
     def monomials(self) -> tuple[int, ...]:
@@ -497,14 +516,14 @@ def to_anf(tt: TruthTable) -> AnfPolynomial:
     """Algebraic normal form of a truth table (Moebius transform)."""
     a = tt.bits.copy()
     _butterfly(a[:, None], _xor_pair)  # XOR butterfly, its own inverse
-    return AnfPolynomial(tt.n, a)
+    return AnfPolynomial(tt.n, _Fresh(a))
 
 
 def from_anf(a: AnfPolynomial) -> TruthTable:
     """Truth table of an ANF polynomial (inverse Moebius transform)."""
     bits = a.coefficients.copy()
     _butterfly(bits[:, None], _xor_pair)
-    return TruthTable(a.n, bits)
+    return TruthTable(a.n, _Fresh(bits))
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +542,7 @@ def make_constant(n: int, c: int) -> TruthTable:
     """The constant function f(x) = c."""
     n = _check_arity(n)
     c = _constant_bit(c)
-    return TruthTable(n, np.full(1 << n, c, dtype=np.uint8))
+    return TruthTable(n, _Fresh(np.full(1 << n, c, dtype=np.uint8)))
 
 
 def make_affine(n: int, k: BitVector | int, c: int = 0) -> TruthTable:
@@ -533,7 +552,7 @@ def make_affine(n: int, k: BitVector | int, c: int = 0) -> TruthTable:
     c = _constant_bit(c)
     idx = np.arange(1 << n, dtype=np.int64)
     bits = (np.bitwise_count(idx & kv) & 1).astype(np.uint8) ^ c
-    return TruthTable(n, bits)
+    return TruthTable(n, _Fresh(bits))
 
 
 def _check_even_arity(n: int) -> int:
@@ -548,7 +567,7 @@ def make_inner_product_bent(n: int) -> TruthTable:
     n = _check_even_arity(n)
     idx = np.arange(1 << n, dtype=np.int64)
     pairs = idx & (idx >> 1) & ((1 << n) // 3)  # bit 2i is x_{2i} AND x_{2i+1}
-    return TruthTable(n, (np.bitwise_count(pairs) & 1).astype(np.uint8))
+    return TruthTable(n, _Fresh((np.bitwise_count(pairs) & 1).astype(np.uint8)))
 
 
 def make_mm_bent(
@@ -578,7 +597,7 @@ def make_mm_bent(
     x = idx & (size - 1)
     y = idx >> half
     bits = (np.bitwise_count(x & pi_arr[y]) & 1).astype(np.uint8) ^ g.bits[y]
-    return TruthTable(2 * half, bits)
+    return TruthTable(2 * half, _Fresh(bits))
 
 
 #: Table entries one block of tables holds.  ``verify --random`` and
@@ -605,4 +624,4 @@ def _random_columns(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
 def random_function(n: int, rng: np.random.Generator) -> TruthTable:
     """Uniformly random function: each table entry an independent fair bit."""
     n = _check_arity(n)
-    return TruthTable(n, _random_columns(n, 1, rng)[:, 0])
+    return TruthTable(n, _Fresh(_random_columns(n, 1, rng)[:, 0]))

@@ -228,9 +228,11 @@ def _cmd_dj(args, cap: int) -> None:
 
 
 def _cmd_sample(args, cap: int) -> None:
-    tt, _ = _read_table(args, cap)
-    amps = djsim.amplitudes_from_walsh(walsh.fwht(tt))
+    # no name holds the table, and the amplitudes go before the writer runs,
+    # so the histogram alone is alive while it is written
+    amps = djsim.amplitudes_from_walsh(walsh.fwht(_read_table(args, cap)[0]))
     hist = djsim.sample_measurements(amps, args.shots, np.random.default_rng(args.seed))
+    del amps
     if args.format == "csv":
         _write(spectra._histogram_csv_blocks(hist), args.out)
     else:

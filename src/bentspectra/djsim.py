@@ -37,12 +37,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfn import (MAX_ARITY, TruthTable, _butterfly, _check_arity, _check_bits, _Frozen,
-                     _frozen_array, _index, _short_repr, _signs_into)
+from .boolfn import (MAX_ARITY, TruthTable, _butterfly, _check_arity, _check_bits, _Fresh,
+                     _Frozen, _frozen_array, _index, _short_repr, _signs_into)
 from .walsh import WalshSpectrum, _check_spectra, _fwht_columns, _naive_columns, _square_sums
 
 #: Statevector caps, every arity a table can have: one float64 buffer of 2^n
-#: entries (128 MiB at n = 24), or of 2^{n+1} for the ancilla route.
+#: entries (128 MiB at n = 24), or two, one per ancilla value, for the ancilla route.
 STATEVECTOR_MAX_N = MAX_ARITY
 ANCILLA_MAX_N = MAX_ARITY
 
@@ -103,7 +103,9 @@ class MeasurementHistogram(_Frozen):
 
 
 def _direct_columns(n: int, bits: np.ndarray) -> np.ndarray:
-    return _naive_columns(n, bits) / (1 << n)
+    amps = _naive_columns(n, bits)
+    amps /= 1 << n
+    return amps
 
 
 def amplitudes_direct(tt: TruthTable) -> Amplitudes:
@@ -113,16 +115,18 @@ def amplitudes_direct(tt: TruthTable) -> Amplitudes:
     pipeline; ``walsh._naive_columns`` sums in float32, and every partial sum
     is an integer of at most 2^n in magnitude, so the result is exact.
     """
-    return Amplitudes(tt.n, _direct_columns(tt.n, tt.bits[:, None])[:, 0])
+    return Amplitudes(tt.n, _Fresh(_direct_columns(tt.n, tt.bits[:, None])[:, 0]))
 
 
 def _scaled_spectra(n: int, w: np.ndarray) -> np.ndarray:
-    return w.astype(np.float64) / (1 << n)
+    amps = w.astype(np.float64)
+    amps /= 1 << n
+    return amps
 
 
 def amplitudes_from_walsh(spec: WalshSpectrum) -> Amplitudes:
     """psi(p) = W(p) / 2^n, exact up to one float64 division."""
-    return Amplitudes(spec.n, _scaled_spectra(spec.n, spec.coeffs[:, None])[:, 0])
+    return Amplitudes(spec.n, _Fresh(_scaled_spectra(spec.n, spec.coeffs[:, None])[:, 0]))
 
 
 def _hadamard_pair(x: np.ndarray, y: np.ndarray, t: np.ndarray | None = None) -> None:
@@ -164,19 +168,26 @@ def simulate_circuit(tt: TruthTable) -> Amplitudes:
     amplitude at x by (-1)^f(x), and the final H^n runs as a butterfly; the
     final statevector is real and returned as the output amplitudes.
     """
-    return Amplitudes(tt.n, _circuit_columns(tt.n, tt.bits[:, None])[:, 0])
+    return Amplitudes(tt.n, _Fresh(_circuit_columns(tt.n, tt.bits[:, None])[:, 0]))
 
 
 def _ancilla_columns(n: int, bits: np.ndarray) -> np.ndarray:
-    # H^(n+1)|0..0,1> is v on |x,0> and -v on |x,1>; the bit-flip oracle swaps
-    # the two where f(x) = 1, so |x,0> holds (-1)^f(x) v and |x,1> its negation.
-    # Every step writes into the state itself, which is all this route allocates.
-    state = np.empty((2, *bits.shape))
-    low, high = state
-    _signed_layer(n + 1, bits, low)
-    np.negative(low, out=high)
-    _butterfly(state, _hadamard_pair)  # H on qubits 0..n-1 of both ancilla halves
+    """The (n+1)-qubit state as its two ancilla halves, each a (2^n, B) array.
+
+    H^(n+1)|0..0,1> is v on |x,0> and -v on |x,1>; the bit-flip oracle swaps
+    the two where f(x) = 1, so |x,0> holds (-1)^f(x) v and |x,1> its negation.
+    Both halves are transformed, low then high, rather than taking the high
+    one's transform as the negation of the low one's, so the route stays
+    independent of the circuit route.  The projection goes into the low half
+    and the high half is freed, so the result holds its own 2^n entries per
+    table and no view keeps 2^(n+1) alive.
+    """
+    low = _signed_layer(n + 1, bits, np.empty(bits.shape))
+    high = np.negative(low)
+    _butterfly(low, _hadamard_pair)  # H on qubits 0..n-1 under each ancilla value
+    _butterfly(high, _hadamard_pair)
     low -= high  # discarding the ancilla projects onto |->: (low - high) / sqrt(2)
+    del high
     low *= _SQRT1_2
     return low
 
@@ -191,7 +202,7 @@ def simulate_with_ancilla(tt: TruthTable) -> Amplitudes:
     then projects onto |->, and the surviving n-qubit amplitudes equal the
     phase-oracle route to within rounding.
     """
-    return Amplitudes(tt.n, _ancilla_columns(tt.n, tt.bits[:, None])[:, 0])
+    return Amplitudes(tt.n, _Fresh(_ancilla_columns(tt.n, tt.bits[:, None])[:, 0]))
 
 
 class RouteFault(Exception):
@@ -278,5 +289,4 @@ def sample_measurements(
     p = probabilities(a)
     p /= p.sum()
     counts = rng.multinomial(shots, p)
-    del p  # freed before the histogram copies the counts
-    return MeasurementHistogram(a.n, counts, shots)
+    return MeasurementHistogram(a.n, _Fresh(counts), shots)

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfn import TruthTable, _check_arity, _Frozen, _index, _load_json, _short_repr
+from .boolfn import TruthTable, _check_arity, _Fresh, _Frozen, _index, _load_json, _short_repr
 from .walsh import WalshSpectrum, classify, fwht
 
 ASCII_MAX_BARS = 1 << 8
@@ -285,16 +285,18 @@ def _canonical_csv(text: str) -> SpectrumReport | None:
     start, end = commas[0::3] + 1, commas[1::3]
     negative = buf[start] == ord("-")
     width = end - start - negative
-    if width.min() < 1 or width.max() > 8:  # |W| <= 2^24; 10**k stays in int64
+    if width.min() < 1 or width.max() > 8:  # |W| <= 2^24
         return None
-    w = np.zeros(rows, dtype=np.int64)
+    # an ASCII byte is a "digit" of magnitude at most 79, so eight of them sum
+    # within int32 and W is parsed in the dtype the spectrum stores
+    w = np.zeros(rows, dtype=np.int32)
     for k in range(int(width.max())):
-        digit = buf[end - 1 - k].astype(np.int64) - ord("0")
+        digit = buf[end - 1 - k].astype(np.int32) - ord("0")
         w += np.where(width > k, digit, 0) * 10**k
-    del buf, commas, start, end, width  # only W and the text are needed from here
+    np.negative(w, out=w, where=negative)
+    del buf, commas, start, end, width, negative  # only W and the text are needed from here
     try:
-        report = SpectrumReport(WalshSpectrum(rows.bit_length() - 1,
-                                              np.where(negative, -w, w)))
+        report = SpectrumReport(WalshSpectrum(rows.bit_length() - 1, _Fresh(w)))
     except ValueError:
         return None
     at = 0  # the export, block by block, must be the text

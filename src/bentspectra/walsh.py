@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .boolfn import (BitVector, TruthTable, _butterfly, _check_arity, _check_even_arity,
-                     _Frozen, _frozen_array, _index, _signs, _tables_per_block)
+                     _Fresh, _Frozen, _frozen_array, _index, _signs, _tables_per_block)
 
 
 def _square_sums(a: np.ndarray) -> np.ndarray:
@@ -150,7 +150,7 @@ def walsh_naive(tt: TruthTable) -> WalshSpectrum:
     because every partial sum is an integer of magnitude at most 2^24.  The
     cached factors reach 4096 x 4096 (64 MiB) at n = 24.
     """
-    return WalshSpectrum(tt.n, _naive_columns(tt.n, tt.bits[:, None])[:, 0])
+    return WalshSpectrum(tt.n, _Fresh(_naive_columns(tt.n, tt.bits[:, None])[:, 0]))
 
 
 def _sum_diff(x: np.ndarray, y: np.ndarray, t: np.ndarray | None = None) -> None:
@@ -168,7 +168,7 @@ def _fwht_columns(bits: np.ndarray) -> np.ndarray:
 
 def fwht(tt: TruthTable) -> WalshSpectrum:
     """Fast Walsh transform, O(n 2^n), identical output to walsh_naive."""
-    return WalshSpectrum(tt.n, _fwht_columns(tt.bits[:, None])[:, 0])
+    return WalshSpectrum(tt.n, _Fresh(_fwht_columns(tt.bits[:, None])[:, 0]))
 
 
 def _classify_columns(n: int, w: np.ndarray) -> dict[str, np.ndarray]:
@@ -226,7 +226,7 @@ def dual_bent(spec: WalshSpectrum) -> TruthTable:
         raise ValueError(f"dual is defined for bent functions only; n = {spec.n} is odd")
     if not classify(spec).is_bent:
         raise ValueError("spectrum is not flat; the function is not bent")
-    return TruthTable(spec.n, (spec.coeffs < 0).astype(np.uint8))
+    return TruthTable(spec.n, _Fresh((spec.coeffs < 0).view(np.uint8)))
 
 
 class ShuffleSearchResult(NamedTuple):

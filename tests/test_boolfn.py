@@ -666,6 +666,20 @@ def test_butterfly_memory_on_verify_blocks_is_one_workers_buffers(m):
     assert peak <= per_worker * block.itemsize + (64 << 10)
 
 
+def test_to_anf_memory_is_its_coefficients_and_the_degree_scan():
+    tt = random_function(18, np.random.default_rng(18))
+    tracemalloc.start()
+    try:
+        to_anf(tt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the uint8 coefficients, kept by the polynomial, then the degree's uint32
+    # monomial masks and their uint8 weights; the butterfly's buffers are
+    # freed before these
+    assert peak <= (1 + 4 + 1) * (1 << 18) + (64 << 10), peak
+
+
 def test_butterfly_refuses_non_contiguous_arrays():
     block = np.asfortranarray(np.arange(8, dtype=np.int32).reshape(4, 2))
     with pytest.raises(ValueError, match="C-contiguous"):

@@ -539,6 +539,30 @@ def test_verify_unnormalized_circuit_column_names_its_table_and_p(run, monkeypat
     )
 
 
+@pytest.mark.parametrize("argv, table", [
+    (["--tt", "0001000100011110"], 0),
+    (["--random", "4", "--n", "8", "--seed", "1"], 2),  # column 2 of one block
+])
+def test_verify_ancilla_route_with_one_sign_flipped_is_a_route_fault(run, monkeypatch, argv,
+                                                                      table):
+    # a flipped sign keeps the norm, so the deviation from the literal sum must name it
+    real, flipped = djsim._ancilla_columns, []
+
+    def ancilla(n, bits):
+        amps = real(n, bits)
+        p = int(np.abs(amps[:, table]).argmax())  # the largest |W(p)|, never 0
+        amps[p, table] *= -1
+        flipped.append((p, 2 * abs(amps[p, table])))
+        return amps
+
+    monkeypatch.setattr(djsim, "_ancilla_columns", ancilla)
+    code, out, err = run(["verify", *argv])
+    [(p, dev)] = flipped
+    assert code == 3 and out.endswith(f"max route deviation {dev:.3e} (FAIL)\n")
+    assert err == ("error: amplitude routes disagree beyond tolerance: ancilla route off "
+                   f"the literal sum by {dev:.3e} on table {table} at p={p}\n")
+
+
 def test_verify_walsh_route_failing_parseval_is_a_route_fault(run, monkeypatch):
     real = djsim._fwht_columns
     monkeypatch.setattr(djsim, "_fwht_columns", lambda bits: 3 * real(bits))

@@ -27,7 +27,7 @@ from bentspectra import (
     simulate_with_ancilla,
 )
 from bentspectra import boolfn, djsim
-from bentspectra.boolfn import MAX_ARITY, _butterfly, _random_columns
+from bentspectra.boolfn import _SCRATCH, MAX_ARITY, _butterfly, _random_columns
 from bentspectra.djsim import (
     ANCILLA_MAX_N,
     STATEVECTOR_MAX_N,
@@ -208,45 +208,59 @@ def test_statevector_bodies_match_gate_by_gate_bit_for_bit(n, width):
 def test_ancilla_route_transforms_both_ancilla_halves(monkeypatch):
     # after the oracle |x,1> is the negation of |x,0>; transforming it anyway
     # keeps this route independent of the circuit route
-    shapes = []
+    halves = []
 
     def recording(a, pair):
-        shapes.append(a.shape)
+        halves.append((a, a.copy()))
         _butterfly(a, pair)
 
     monkeypatch.setattr(djsim, "_butterfly", recording)
     _ancilla_columns(3, _random_columns(3, 5, np.random.default_rng(0)))
-    assert shapes == [(2, 8, 5)]
+    assert [a.shape for a, _ in halves] == [(8, 5), (8, 5)]
+    (low, low_given), (high, high_given) = halves
+    assert not np.shares_memory(low, high)
+    assert np.array_equal(high_given, -low_given) and np.all(low_given != 0)
 
 
 #: Room for array headers and other small objects beside the float64 buffers.
 _SMALL = 64 << 10
+#: Entries of one butterfly worker's buffers: its scratch block and its pair temporary.
+_WORKER = _SCRATCH + _SCRATCH // 2
 
 
-def _route_peak(route, n):
-    tt = random_function(n, np.random.default_rng(n))
+def _route_peak(route, arg):
+    """tracemalloc's peak while ``route(arg)`` runs."""
     tracemalloc.start()
     try:
-        route(tt)
+        route(arg)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_circuit_route_memory_is_its_state_and_the_result():
-    # the 2^n-entry state and the Amplitudes copy; the norm check adds no third
-    assert _route_peak(simulate_circuit, 18) <= 8 * (2 << 18) + _SMALL
+def _table(n):
+    return random_function(n, np.random.default_rng(n))
 
 
-def test_ancilla_route_memory_is_its_state_and_the_result():
-    # the 2^(n+1)-entry state, projected in place, and the 2^n-entry Amplitudes copy
-    assert _route_peak(simulate_with_ancilla, 18) <= 8 * (3 << 18) + _SMALL
+def test_circuit_route_memory_is_its_state_and_one_workers_buffers():
+    # the Amplitudes keep the state itself; the norm check adds no array
+    assert _route_peak(simulate_circuit, _table(18)) <= 8 * ((1 << 18) + _WORKER) + _SMALL
 
 
-def test_threaded_circuit_route_memory_is_its_state_and_the_result(monkeypatch):
-    # the butterfly's worker buffers are freed before the Amplitudes copy is made
+def test_ancilla_route_memory_is_its_two_halves_and_one_workers_buffers():
+    # the high half is freed after the projection, and the low one is the result
+    assert _route_peak(simulate_with_ancilla, _table(18)) <= 8 * ((2 << 18) + _WORKER) + _SMALL
+
+
+def test_threaded_circuit_route_memory_is_its_state_and_the_workers_buffers(monkeypatch):
     monkeypatch.setattr(boolfn, "_WORKERS", boolfn._MAX_WORKERS)
-    assert _route_peak(simulate_circuit, 20) <= 8 * (2 << 20) + _SMALL
+    assert (_route_peak(simulate_circuit, _table(20))
+            <= 8 * ((1 << 20) + boolfn._MAX_WORKERS * _WORKER) + _SMALL)
+
+
+def test_walsh_route_memory_is_its_scaled_spectrum():
+    # the spectrum is cast once and scaled in place, and the Amplitudes keep it
+    assert _route_peak(amplitudes_from_walsh, fwht(_table(18))) <= 8 * (1 << 18) + _SMALL
 
 
 @given(truth_tables(max_n=8))
@@ -369,9 +383,9 @@ def test_sampler_memory_does_not_grow_with_shots():
     assert peak < 16 * 1024  # a few 16-entry arrays, whatever the shot count
 
 
-def test_sampler_memory_is_the_counts_and_their_copy():
-    # the probabilities are normalized in place and freed before the histogram
-    # copies the multinomial counts, so two 2^n-entry arrays are alive at once
+def test_sampler_memory_is_the_probabilities_and_the_counts():
+    # the probabilities are normalized in place and the histogram keeps the
+    # multinomial counts, so two 2^n-entry arrays are alive at once
     amps = simulate_circuit(random_function(18, np.random.default_rng(18)))
     tracemalloc.start()
     try:

@@ -11,8 +11,22 @@ from bentspectra import (
     MeasurementHistogram,
     TruthTable,
     WalshSpectrum,
+    amplitudes_direct,
+    amplitudes_from_walsh,
+    dual_bent,
+    from_anf,
+    fwht,
+    make_affine,
+    make_constant,
+    make_inner_product_bent,
+    make_mm_bent,
     make_report,
     random_function,
+    sample_measurements,
+    simulate_circuit,
+    simulate_with_ancilla,
+    to_anf,
+    walsh_naive,
 )
 from bentspectra.boolfn import _check_bits, _random_columns
 from bentspectra.djsim import _check_normalized, _scaled_spectra
@@ -193,3 +207,47 @@ def test_block_validators_check_every_column(check, name, edit):
     block[0, -1] = edit(block[0, -1])  # spoil the last column only
     with pytest.raises(ValueError):
         check(*args, block)
+
+
+_TABLE = random_function(6, np.random.default_rng(6))
+_BENT = make_inner_product_bent(6)
+
+#: Every public function whose value type keeps the buffer the function has just made.
+ADOPTING = {
+    "fwht": (fwht, _TABLE),
+    "walsh_naive": (walsh_naive, _TABLE),
+    "amplitudes_direct": (amplitudes_direct, _TABLE),
+    "amplitudes_from_walsh": (amplitudes_from_walsh, fwht(_TABLE)),
+    "simulate_circuit": (simulate_circuit, _TABLE),
+    "simulate_with_ancilla": (simulate_with_ancilla, _TABLE),
+    "to_anf": (to_anf, _TABLE),
+    "from_anf": (from_anf, to_anf(_TABLE)),
+    "make_constant": (make_constant, 6, 1),
+    "make_affine": (make_affine, 6, 5, 1),
+    "make_inner_product_bent": (make_inner_product_bent, 6),
+    "make_mm_bent": (make_mm_bent, 3, np.array([3, 1, 0, 2, 7, 4, 6, 5]),
+                     random_function(3, np.random.default_rng(3))),
+    "random_function": (random_function, 6, np.random.default_rng(6)),
+    "dual_bent": (dual_bent, fwht(_BENT)),
+    "sample_measurements": (sample_measurements, simulate_circuit(_TABLE), 1000,
+                            np.random.default_rng(0)),
+}
+
+
+def _arrays(value) -> list:
+    """An array argument itself, or the arrays a value type stores."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    fields = [getattr(value, name) for name in getattr(type(value), "__slots__", ())]
+    return [field for field in fields if isinstance(field, np.ndarray)]
+
+
+@pytest.mark.parametrize("call", ADOPTING.values(), ids=ADOPTING.keys())
+def test_adopted_buffers_are_never_the_arguments(call):
+    function, *args = call
+    result = function(*args)
+    kept = _arrays(result)
+    assert kept and all(not array.flags.writeable for array in kept)
+    for given in (array for arg in args for array in _arrays(arg)):
+        for array in kept:
+            assert not np.shares_memory(array, given), function.__name__

@@ -26,7 +26,7 @@ from bentspectra import (
     walsh_naive,
 )
 from bentspectra import cli, djsim, walsh
-from bentspectra.boolfn import MAX_ARITY, _random_columns
+from bentspectra.boolfn import _SCRATCH, MAX_ARITY, _random_columns
 from bentspectra.walsh import _character_matrix, _classify_columns, _fwht_columns, _naive_columns
 
 #: Largest n at which the full-matrix ``reference_naive_columns`` runs; its
@@ -285,6 +285,19 @@ def test_spectrum_validation_makes_no_full_size_temporary():
         tracemalloc.stop()
     # the frozen copy, plus the float64 sum's small cast buffers (about 0.13 MiB)
     assert peak - w.nbytes < 1 << 20, peak
+
+
+def test_fwht_memory_is_its_spectrum_and_one_workers_buffers():
+    tt = random_function(18, np.random.default_rng(18))
+    tracemalloc.start()
+    try:
+        fwht(tt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the int32 signs, transformed in place and kept by the spectrum, and one
+    # butterfly worker's scratch block and pair temporary
+    assert peak <= 4 * ((1 << 18) + _SCRATCH + _SCRATCH // 2) + (64 << 10), peak
 
 
 def test_spectrum_validation():
