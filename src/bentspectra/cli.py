@@ -27,6 +27,7 @@ above 24 are clamped).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import re
@@ -79,15 +80,25 @@ def _check_arity(n: int, cap: int) -> int:
     return n
 
 
-def _read_input(args) -> tuple[str, str]:
-    """Text and name of the single input source: --tt, --in, or stdin."""
+def _read_input(args, raw: bool = False) -> tuple[str | bytes, str]:
+    """Text and name of the single input source: --tt, --in, or stdin.
+
+    With ``raw``, a file that is ASCII and holds no ``\\r`` is given as its
+    bytes, which are exactly its text; any other file is decoded as
+    ``Path.read_text`` decodes it.
+    """
     if args.tt is not None and args.infile:
         raise ValueError("give at most one of --tt and --in")
     if args.tt is not None:
         return args.tt, "inline"
-    if args.infile:
+    if not args.infile:
+        return sys.stdin.read(), "stdin"
+    if not raw:
         return Path(args.infile).read_text(), args.infile
-    return sys.stdin.read(), "stdin"
+    data = Path(args.infile).read_bytes()
+    if data.isascii() and b"\r" not in data:
+        return data, args.infile
+    return io.TextIOWrapper(io.BytesIO(data)).read(), args.infile
 
 
 def _read_table(args, cap: int) -> tuple[TruthTable, str]:
@@ -249,20 +260,24 @@ def _bars(report: spectra.SpectrumReport, column: str, fmt: str,
     return spectra._bar_blocks(values, title, fmt)
 
 
-def _plot_input(args, cap: int) -> str:
-    """The report text; a CSV report too large to draw is refused before it is read."""
-    text = _read_input(args)[0]
-    rows = text.count(",") // 3 - 1  # exact for a valid CSV report; a JSON one is read first
-    if rows >= 2 and not rows & (rows - 1) and not re.match(r"\s*\{", text):
+def _plot_input(args, cap: int) -> str | bytes:
+    """The report text or bytes; a CSV report too large to draw is refused before it is read."""
+    data = _read_input(args, raw=True)[0]
+    # exact for a valid CSV report; a JSON one is read first.  A str pattern's \s
+    # also matches \x1c-\x1f, so the bytes pattern names them
+    raw = isinstance(data, bytes)
+    rows = data.count(b"," if raw else ",") // 3 - 1
+    if rows >= 2 and not rows & (rows - 1) \
+            and not re.match(rb"[\s\x1c-\x1f]*\{" if raw else r"\s*\{", data):
         _check_arity(rows.bit_length() - 1, cap)
         spectra._check_bar_count(rows, args.format)
-    return text
+    return data
 
 
 def _cmd_plot(args, cap: int) -> None:
-    # no caller name holds the text, so the reader can free it once it has a stripped
-    # copy; an exported CSV is checked as it is given, with no copy at all, and one
-    # that differs from an export only by surrounding whitespace as stripped
+    # no caller name holds the input, so the reader can free it once it has a decoded
+    # or stripped copy; an exported CSV is checked as it is given, with no copy at
+    # all, and one that differs from an export only by surrounding whitespace as stripped
     report = spectra.read_report(_plot_input(args, cap))
     _check_arity(report.n, cap)
     _write(_bars(report, args.column, args.format, args.title), args.out)

@@ -13,13 +13,14 @@ columns: each column is a small table of strings and one table index per
 row.  p is two columns, its thousands and a fixed table of its last three
 digits; the value text is a table of one tail per distinct value (a bent
 function has two W values); an SVG ``x`` is a table of whole parts and one
-of two-digit decimals.  Each column is gathered once per block of 2^16 rows
+of two-digit decimals.  Each column is gathered once per block of 2^12 rows
 and the block is joined once, so no string is built per row.  The
 string-returning exporters join their blocks; the CLI writes the blocks as
 they come, so a command's memory is its columns and a few blocks, not its
-text.  The CSV reader rebuilds the report from the W column alone and
-accepts the file when the report's export, compared block by block, is the
-file's text; only a text that differs from it is parsed field by field.  All
+text.  The CSV reader takes the file's text or its bytes, rebuilds the
+report from the W column alone and accepts the file when the report's
+export, compared block by block, is those bytes; only a file that differs
+from it is decoded, if need be, and parsed field by field.  All
 exporters are deterministic, and floating-point columns are printed with up
 to 17 significant digits, enough to round-trip float64 losslessly.
 """
@@ -105,8 +106,9 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(values, return_inverse=True)
 
 
-#: Rows per text block: each writer builds, and ``cli`` writes, 2^16 rows at a time.
-_BLOCK_ROWS = 1 << 16
+#: Rows per text block: each writer builds, and ``cli`` writes, 2^12 rows (at most
+#: about half a megabyte of text) at a time.
+_BLOCK_ROWS = 1 << 12
 
 
 def _table(strings: Sequence[str]) -> np.ndarray:
@@ -268,17 +270,36 @@ def _read_csv(lines: list[str]) -> SpectrumReport:
     )
 
 
-def _canonical_csv(text: str) -> SpectrumReport | None:
+#: Bytes per slice in which ``_canonical_csv`` looks for commas.
+_SCAN_BYTES = 1 << 18
+
+
+def _comma_positions(buf: np.ndarray) -> np.ndarray:
+    """The int32 positions of the commas in ``buf``, under 2^31 bytes, found one slice at a time."""
+    pieces = []
+    for at in range(0, buf.size, _SCAN_BYTES):
+        piece = np.flatnonzero(buf[at:at + _SCAN_BYTES] == ord(",")).astype(np.int32)
+        piece += at
+        pieces.append(piece)
+    return np.concatenate(pieces)
+
+
+def _canonical_csv(text: str | bytes) -> SpectrumReport | None:
     """The report whose ``export_csv`` is exactly ``text``; None for any other text.
 
-    Reads only the walsh field of each row, digit by digit from the bytes, and
-    rebuilds the report from it.  Acceptance rests on the re-export equalling
-    ``text``, so a misread W can only send the text on to ``_read_csv``.
+    Reads only the walsh field of each row, digit by digit from the bytes
+    (``text`` itself when it is bytes), and rebuilds the report from it.
+    Acceptance rests on the re-export equalling those bytes, so a misread W
+    can only send the text on to ``_read_csv``.  An export is at most about
+    1.1 GB, so a buffer of 2^31 bytes or more, past int32 positions, is refused.
     """
-    if not (text.isascii() and text.startswith(_CSV_HEADER + "\n")):
+    if not text.isascii():
         return None
-    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    commas = np.flatnonzero(buf == ord(","))[3:]  # past the header's three
+    data = text.encode("ascii") if isinstance(text, str) else text
+    if not data.startswith(_CSV_HEADER.encode() + b"\n") or len(data) >> 31:
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    commas = _comma_positions(buf)[3:]  # past the header's three
     rows = commas.size // 3
     if commas.size % 3 or rows < 2 or rows & (rows - 1):
         return None
@@ -294,35 +315,40 @@ def _canonical_csv(text: str) -> SpectrumReport | None:
         digit = buf[end - 1 - k].astype(np.int32) - ord("0")
         w += np.where(width > k, digit, 0) * 10**k
     np.negative(w, out=w, where=negative)
-    del buf, commas, start, end, width, negative  # only W and the text are needed from here
+    del buf, commas, start, end, width, negative  # only W and the bytes are needed from here
     try:
         report = SpectrumReport(WalshSpectrum(rows.bit_length() - 1, _Fresh(w)))
     except ValueError:
         return None
-    at = 0  # the export, block by block, must be the text
+    at = 0  # the export, block by block, must be the bytes
     for block in _csv_blocks(report):
-        if not text.startswith(block, at):
+        block = block.encode("ascii")
+        if not data.startswith(block, at):
             return None
         at += len(block)
-    return report if at == len(text) else None
+    return report if at == len(data) else None
 
 
-def read_report(text: str) -> SpectrumReport:
-    """Parse a report previously exported as CSV or JSON.
+def read_report(text: str | bytes) -> SpectrumReport:
+    """Parse a report previously exported as CSV or JSON, given as text or as its UTF-8 bytes.
 
-    The text as given, uncopied, is first read as a CSV: the report is rebuilt
-    from its walsh column alone and accepted when its export is the text
-    itself.  Any other text is stripped.  A CSV that then is an export but for
-    its final newline (one that lost it or gained surrounding whitespace) is
-    read the same way; any other (other line ends, blank lines or number
-    spellings, say) is parsed field by field, to the same report or the same
-    error.  In JSON, n and any seed must be integers and any generator a
-    string.  Malformed input, deep JSON nesting included, or self-contradicting
-    input raises ``ValueError``.
+    The input as given is first read as a CSV, bytes with no decode or copy
+    and text through its ASCII encoding: the report is rebuilt from its walsh
+    column alone and accepted when its export is the input itself.  Any other
+    input is decoded, if bytes, and stripped.  A CSV that then is an export
+    but for its final newline (one that lost it or gained surrounding
+    whitespace) is read the same way; any other (other line ends, blank lines
+    or number spellings, say) is parsed field by field, to the same report or
+    the same error.  So bytes read exactly as their decoded text does.  In
+    JSON, n and any seed must be integers and any generator a string.
+    Malformed input, deep JSON nesting and bytes that are not UTF-8 included,
+    or self-contradicting input raises ``ValueError``.
     """
     report = _canonical_csv(text)
     if report is not None:
         return report
+    if isinstance(text, bytes):
+        text = text.decode()
     text = text.strip()
     if not text:
         raise ValueError("empty report")

@@ -322,6 +322,86 @@ def test_plot_refuses_an_over_cap_csv_before_reading_it(run, monkeypatch, tmp_pa
     assert code == 2 and err == "error: n = 9 is outside the configured cap [1, 8]\n"
 
 
+def _plot_of_text(run, path, args):
+    """``plot`` of the file as ``Path.read_text`` reads it: its text by ``--tt``, or the decode error."""
+    try:
+        text = path.read_text()
+    except ValueError as exc:
+        return 2, "", f"error: {exc}\n"
+    return run(["plot", "--tt", text, *args])
+
+
+@pytest.mark.parametrize("args", [[], ["--format", "svg"]])
+def test_plot_in_reads_every_file_as_its_text(run, tmp_path, args):
+    small, big = tmp_path / "small.csv", tmp_path / "big.csv"
+    assert run(["dj", "--tt", "0001000100011110", "--out", str(small)])[0] == 0
+    assert run(["dj", "--tt", "01" * 256, "--out", str(big)])[0] == 0
+    json_text = run(["dj", "--tt", "0110", "--format", "json"])[1].encode()
+    # a generator of commas that makes the comma count read as 2^10 CSV rows, past
+    # the ascii cap, so only the JSON test keeps this report from being refused
+    commas = spectra.export_json(spectra.make_report(TruthTable(2, [0, 1, 1, 0]), ",")).count(",")
+    wide_json = spectra.export_json(spectra.make_report(
+        TruthTable(2, [0, 1, 1, 0]), "," * (3 * 1025 - commas + 1))).encode()
+    csv, lines = small.read_bytes(), small.read_bytes().split(b"\n")
+    variants = {
+        "export": csv,
+        "crlf": csv.replace(b"\n", b"\r\n"),
+        "lone-cr": b"\n".join(lines[:3]) + b"\r" + b"\n".join(lines[3:]),
+        "not-utf8": csv.replace(b"walsh", b"w\xe9lsh"),
+        "trailing-0xff": csv + b"\xff",
+        "over-cap": big.read_bytes(),
+        "over-cap-crlf": big.read_bytes().replace(b"\n", b"\r\n"),
+        "json-after-x1c": b"\x1c\x1f " + json_text,
+        "wide-json-after-x1c": b"\x1c\x1f " + wide_json,
+    }
+    outcomes = {}
+    for name, data in variants.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        outcomes[name] = run(["plot", "--in", str(path), *args])
+        assert outcomes[name] == _plot_of_text(run, path, args), name
+    # universal newlines make a CRLF export the export itself
+    assert outcomes["crlf"] == outcomes["export"] and outcomes["export"][0] == 0
+    assert outcomes["lone-cr"][0] == outcomes["json-after-x1c"][0] == 0
+    assert outcomes["wide-json-after-x1c"][0] == 0
+    assert outcomes["not-utf8"][0] == outcomes["trailing-0xff"][0] == 2
+    assert outcomes["over-cap"] == outcomes["over-cap-crlf"]
+    if not args:
+        assert outcomes["over-cap"] == (2, "", "error: ascii rendering is capped at 256 bars\n")
+
+
+def test_plot_in_reads_a_crlf_export_without_the_field_parse(run, monkeypatch, tmp_path):
+    def field_parse(lines):
+        raise AssertionError("a CRLF export reached the field-by-field reader")
+
+    report = tmp_path / "r.csv"
+    assert run(["dj", "--tt", "0001000100011110", "--out", str(report)])[0] == 0
+    report.write_bytes(report.read_bytes().replace(b"\n", b"\r\n"))
+    monkeypatch.setattr(spectra, "_read_csv", field_parse)
+    assert run(["plot", "--in", str(report)])[0] == 0
+
+
+def test_plot_memory_from_an_export_csv_is_its_bytes_and_int32_positions(run, tmp_path):
+    table, report, svg = tmp_path / "f.tt", tmp_path / "r.csv", tmp_path / "p.svg"
+    table.write_text(random_function(18, np.random.default_rng(18)).text() + "\n")
+    assert run(["dj", "--in", str(table), "--out", str(report)])[0] == 0
+    argv = ["plot", "--in", str(report), "--format", "svg", "--out", str(svg)]
+    assert run(argv)[0] == 0  # warm
+    tracemalloc.start()
+    try:
+        assert run(argv)[0] == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the peak is in the canonical read: the file's bytes (13.6 MiB), the int32
+    # comma positions (12 bytes a row) and W's int32 start, end, width and value
+    # with their digit temporaries, 37 bytes a row in all (22.9 MiB measured).
+    # 46.7 MiB when the reader held the text, its ASCII copy, a file-sized comma
+    # mask and int64 positions
+    bound = report.stat().st_size + 44 * (1 << 18)
+    assert peak <= bound, (peak, bound)
+
+
 def test_plot_reads_a_json_or_within_cap_report_in_full(run, monkeypatch):
     reads = []
     monkeypatch.setattr(spectra, "read_report", lambda text: reads.append(text) or report)

@@ -803,6 +803,75 @@ def test_csv_read_memory_at_n16():
     assert peak <= 9 << 20, peak
 
 
+def _assert_bytes_read_as_text(data):
+    """``read_report`` of the bytes gives the report, or the message, of their decoded text."""
+    try:
+        want = read_report(data.decode())
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            read_report(data)
+        assert str(info.value) == str(exc)
+        return
+    got = read_report(data)
+    assert got == want and got.classification == want.classification
+
+
+_PARSEVAL_BROKEN = "p,walsh,amplitude,probability\n0,4,1,1\n1,0,0,0\n2,0,0,0\n3,2,0.5,0.25\n"
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 13])
+def test_report_bytes_read_as_their_text(n):
+    tt = random_function(n, np.random.default_rng(n))
+    report = make_report(tt)  # a CSV holds no generator or seed
+    data = export_csv(report).encode()
+    lines = data.split(b"\n")
+    # the first probability spelled with 18 digits: the same value, so a valid CSV
+    respelled = _edited(data.decode().splitlines(), 0, 3,
+                        f"{float(report.probabilities[0]):.17e}").encode()
+    assert read_report(respelled) == read_report(data) == report
+    for variant in (
+        data,
+        data[:-1],
+        b" \n\t" + data + b"  \n",
+        data.replace(b"\n", b"\r\n"),
+        b"\n".join(lines[:2]) + b"\r" + b"\n".join(lines[2:]),  # a lone \r
+        export_json(make_report(tt, generator="b\u00e9", seed=n)).encode(),
+        respelled,
+        _PARSEVAL_BROKEN.encode(),
+    ):
+        _assert_bytes_read_as_text(variant)
+
+
+def test_report_bytes_that_are_not_utf8_are_refused():
+    with pytest.raises(ValueError, match="can't decode byte 0xff"):
+        read_report(export_csv(make_report(make_constant(2, 0))).encode() + b"\xff")
+
+
+@pytest.mark.parametrize("scan", [1, 7, 64, 1 << 12])
+def test_comma_scan_slices_leave_the_read_unchanged(scan, monkeypatch):
+    monkeypatch.setattr(spectra, "_SCAN_BYTES", scan)
+    for n in (1, 2, 7, 10):
+        report = make_report(random_function(n, np.random.default_rng(n)))
+        data = export_csv(report).encode()
+        assert np.array_equal(spectra._comma_positions(np.frombuffer(data, dtype=np.uint8)),
+                              np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord(",")))
+        assert spectra._canonical_csv(data) == report
+
+
+def test_canonical_csv_refuses_a_buffer_past_int32_positions(monkeypatch):
+    class Huge(bytes):  # an export that claims 2^31 bytes
+        def __len__(self):
+            return 1 << 31
+
+    def scan(buf):
+        raise AssertionError("a buffer past int32 positions was scanned")
+
+    data = export_csv(make_report(make_constant(3, 1))).encode()
+    assert spectra._canonical_csv(data) is not None
+    monkeypatch.setattr(spectra, "_comma_positions", scan)
+    assert spectra._canonical_csv(Huge(data)) is None
+
+
 # ---------------------------------------------------------------------------
 # The column-table engine: SVG x strings, cents and block seams
 # ---------------------------------------------------------------------------
@@ -839,7 +908,9 @@ def _materialized(report):
                            seed=report.seed, classification=report.classification)
 
 
-@pytest.mark.parametrize("n", [10, 17])  # p crosses 1000; two blocks, p crosses 10^5
+# p crosses 1000 in one block; two blocks, p crossing 1000 inside the first;
+# 32 blocks, p crossing 10^5
+@pytest.mark.parametrize("n", [10, 13, 17])
 def test_every_writer_matches_its_reference_across_block_seams(n):
     rng = np.random.default_rng(n)
     tt = random_function(n, rng)
@@ -859,12 +930,12 @@ def test_every_writer_matches_its_reference_across_block_seams(n):
     assert export_histogram_json(hist) == json.dumps(obj, indent=2) + "\n"
 
 
-def test_streamed_dj_memory_is_the_w_column_and_a_few_blocks(tmp_path):
-    n = 18
-    tt = random_function(n, np.random.default_rng(18))
-    table, out = tmp_path / "f.tt", tmp_path / "r.csv"
+def _streamed_cli_peak(tmp_path, command, *args):
+    """The n = 18 table, and the traced peak of ``command --in`` it with ``args``, ``--out`` a file."""
+    tt = random_function(18, np.random.default_rng(18))
+    table, out = tmp_path / "f.tt", tmp_path / "out"
     table.write_text(tt.text() + "\n")
-    argv = ["dj", "--in", str(table), "--out", str(out)]
+    argv = [command, "--in", str(table), *args, "--out", str(out)]
     assert cli.main(argv) == 0  # warm
     tracemalloc.start()
     try:
@@ -872,13 +943,32 @@ def test_streamed_dj_memory_is_the_w_column_and_a_few_blocks(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return tt, table, out, peak
+
+
+def test_streamed_dj_memory_is_the_w_column_and_a_few_blocks(tmp_path):
+    tt, table, out, peak = _streamed_cli_peak(tmp_path, "dj")
     report = make_report(tt, generator=str(table))
     assert out.read_text() == export_csv(report)
-    block = max(map(len, spectra._csv_blocks(report)))
-    # W and its distinct index (int32 each); one block's text, its encoded bytes
-    # and the flat list of its 3 * 2^16 column entries; 512 KiB for the table
-    bound = 2 * report.walsh.nbytes + 2 * block + 3 * 8 * spectra._BLOCK_ROWS + (512 << 10)
+    # the peak is in _distinct: the table (256 KiB), W and the offset keys and
+    # distinct index it adds (int32 each, 2.09 MiB measured); writing a block
+    # holds W, the index, the table and one block of at most 219 KiB as text and
+    # bytes, less.  256 KiB for the rest: 3.39 MiB measured, and 9.35 MiB when a
+    # block was 2^16 rows
+    bound = tt.bits.nbytes + 3 * report.walsh.nbytes + (256 << 10)
     assert peak <= bound < out.stat().st_size, (peak, bound)
+
+
+@pytest.mark.parametrize("command, args", [("dj", ["--format", "json"]), ("walsh", [])])
+def test_streamed_json_and_walsh_memory_is_the_w_column_and_a_few_blocks(tmp_path, command,
+                                                                         args):
+    tt, _, out, peak = _streamed_cli_peak(tmp_path, command, *args)
+    # as for the CSV: the table, W, its keys and index; a JSON block of 2^12
+    # rows is at most 545 KiB, held as text and as bytes while W and its index
+    # (2 MiB) are alive, so 768 KiB for the rest.  Measured: 3.71 MiB for the
+    # JSON and 3.39 MiB for walsh, 19.66 and 5.93 MiB when a block was 2^16 rows
+    bound = tt.bits.nbytes + 3 * 4 * (1 << tt.n) + (768 << 10)
+    assert peak <= bound, (peak, bound)
 
 
 def test_canonical_csv_compares_the_export_block_by_block(monkeypatch):
@@ -893,6 +983,9 @@ def test_canonical_csv_compares_the_export_block_by_block(monkeypatch):
     # the seam rows, a row inside the second block and the last row, each edited
     # outside its walsh field, and the export without its final newline
     for row in (spectra._BLOCK_ROWS - 1, spectra._BLOCK_ROWS, 100_000, len(lines) - 2):
-        assert spectra._canonical_csv(_edited(lines, row, 3, "9") + "\n") is None
+        edited = _edited(lines, row, 3, "9") + "\n"
+        assert spectra._canonical_csv(edited) is None
+        assert spectra._canonical_csv(edited.encode()) is None
     assert spectra._canonical_csv(text[:-1]) is None
-    assert spectra._canonical_csv(text) == report
+    assert spectra._canonical_csv(text.encode()[:-1]) is None
+    assert spectra._canonical_csv(text) == report == spectra._canonical_csv(text.encode())
