@@ -11,7 +11,8 @@ representable in float64 at every arity up to ``MAX_ARITY`` = 24, so the
 independent routes below agree to within butterfly rounding (~1e-15) and
 are checked against each other at 1e-12:
 
-* ``amplitudes_direct``      - literal sum, factor by factor, O(2^{3n/2});
+* ``amplitudes_direct``      - literal sum, one bit group at a time, 4^n up to
+  n = 8 and about k 2^n 2^ceil(n/k) for k = ceil(n/8) groups above;
 * ``amplitudes_from_walsh``  - integer spectrum scaled by 2^-n;
 * ``simulate_circuit``       - n-qubit statevector with a phase oracle;
 * ``simulate_with_ancilla``  - (n+1)-qubit statevector with a bit-flip
@@ -102,26 +103,24 @@ class MeasurementHistogram(_Frozen):
 # amplitude columns; the public function runs it on one column.
 
 
-def _direct_columns(n: int, bits: np.ndarray) -> np.ndarray:
-    amps = _naive_columns(n, bits)
+def _scaled_spectra(n: int, w: np.ndarray) -> np.ndarray:
+    amps = w.astype(np.float64)
     amps /= 1 << n
     return amps
 
 
+def _direct_columns(n: int, bits: np.ndarray) -> np.ndarray:
+    return _scaled_spectra(n, _naive_columns(n, bits))
+
+
 def amplitudes_direct(tt: TruthTable) -> Amplitudes:
-    """Literal evaluation of the amplitude sum, O(2^{3n/2}), at every arity.
+    """Literal evaluation of the amplitude sum, one bit group at a time, at every arity.
 
     Independent of both the butterfly transform and the statevector
     pipeline; ``walsh._naive_columns`` sums in float32, and every partial sum
     is an integer of at most 2^n in magnitude, so the result is exact.
     """
     return Amplitudes(tt.n, _Fresh(_direct_columns(tt.n, tt.bits[:, None])[:, 0]))
-
-
-def _scaled_spectra(n: int, w: np.ndarray) -> np.ndarray:
-    amps = w.astype(np.float64)
-    amps /= 1 << n
-    return amps
 
 
 def amplitudes_from_walsh(spec: WalshSpectrum) -> Amplitudes:

@@ -8,9 +8,10 @@ measuring the correlation of f with the linear function x -> p.x.  Two
 implementations are provided: ``walsh_naive`` evaluates the double sum
 literally and serves as the oracle, ``fwht`` runs the in-place O(n 2^n)
 butterfly.  They agree entry for entry on every input.  The 2^n x 2^n
-character matrix is the Kronecker product of two half-size factors, so the
-literal sum runs as one float32 matrix product per factor, O(2^{3n/2}), and
-never holds the whole matrix (see ``_naive_columns``).
+character matrix is the Kronecker product of one factor per group of at most
+8 bits, so the literal sum runs as one float32 matrix product per group,
+4^n up to n = 8 and about k 2^n 2^ceil(n/k) for k = ceil(n/8) groups above,
+and never holds the whole matrix (see ``_naive_columns``).
 
 Spectral facts the classifier relies on; by Parseval it reads every flag
 off W(0) and the peak |W| alone (see ``_classify_columns``):
@@ -106,8 +107,8 @@ class Classification:
 def _character_matrix(m: int) -> np.ndarray:
     """(-1)^(p.x) for m-bit p (rows) and x (columns), as a read-only float32 matrix.
 
-    ``_naive_columns`` uses it only as a half-size factor, m <= 12 (half of
-    ``MAX_ARITY``), so the largest, at n = 23 and 24, is 4096 x 4096 (64 MiB).
+    ``_naive_columns`` uses it as the factor of one bit group, m <= 8, so the
+    largest is 256 x 256 (256 KiB).
     """
     idx = np.arange(1 << m, dtype=np.uint16)
     chi = _signs(np.bitwise_count(idx[:, None] & idx[None, :]) & 1, np.float32)
@@ -116,39 +117,34 @@ def _character_matrix(m: int) -> np.ndarray:
 
 
 def _naive_columns(n: int, bits: np.ndarray) -> np.ndarray:
-    """The double sum W(p) of each (2^n, B) table column, as exact float64 integers.
+    """The double sum W(p) of each (2^n, B) table column, as int32.
 
-    Splitting p and x into their high n - n//2 and low n//2 bits,
-    (-1)^(p.x) = (-1)^(p_hi.x_hi) * (-1)^(p_lo.x_lo), so the character matrix is
-    the Kronecker product of two half-size factors and
-
-        W(p_hi, p_lo) = sum over x_hi of (-1)^(p_hi.x_hi) *
-                        sum over x_lo of (-1)^(p_lo.x_lo) * (-1)^f(x_hi, x_lo),
-
-    the same double sum, summed over x_lo first.  Each sum is one float32 matrix
-    product, and x_lo is moved innermost for the first one as the signs are
-    converted.  That is exact: every entry and partial sum is an integer of
-    magnitude at most 2^n <= 2^24, which float32 holds in any summation order.
+    Splitting p and x into k = ceil(n/8) groups of near-equal size m_i <= 8,
+    (-1)^(p.x) is the product of (-1)^(p_i.x_i) over the groups, so the
+    character matrix is the Kronecker product of one factor per group and the
+    double sum can be summed one x group at a time.  Each step is one float32
+    product: it sums the lowest remaining x group and puts its p group in
+    front, so after the last step the axes are in p order.  That is exact:
+    every entry and partial sum is an integer of magnitude at most
+    2^n <= 2^24, which float32 holds in any summation order.
     """
-    low = n // 2
-    chi_hi, chi_lo = _character_matrix(n - low), _character_matrix(low)
-    rows, cols, count = len(chi_hi), len(chi_lo), bits.shape[1]
-    # the signs (-1)^f as rows (x_hi, table) by columns x_lo
-    w = _signs(bits.reshape(rows, cols, count).swapaxes(1, 2), np.float32)
-    w = w.reshape(-1, cols) @ chi_lo  # sum over x_lo; chi_lo is symmetric
-    w = chi_hi @ w.reshape(rows, -1)  # sum over x_hi: rows p_hi by (table, p_lo)
-    w = w.reshape(rows, count, cols).swapaxes(1, 2).astype(np.float64, order="C")
-    return w.reshape(bits.shape)
+    k = -(-n // 8)
+    sizes = [(n + i) // k for i in range(k)]
+    w = _signs(bits, np.float32).reshape([1 << m for m in reversed(sizes)] + [bits.shape[1]])
+    for m in sizes:
+        w = np.tensordot(_character_matrix(m), w, axes=(1, k - 1))
+    return w.reshape(bits.shape).astype(np.int32)
 
 
 def walsh_naive(tt: TruthTable) -> WalshSpectrum:
-    """Literal evaluation of the defining double sum, O(2^{3n/2}).
+    """Literal evaluation of the defining double sum, one bit group at a time.
 
     Kept deliberately free of the butterfly so it can serve as an
-    independent oracle for ``fwht`` at every arity.  The sum runs through the
-    two half-size character factors, one float32 matrix product each, exact
-    because every partial sum is an integer of magnitude at most 2^24.  The
-    cached factors reach 4096 x 4096 (64 MiB) at n = 24.
+    independent oracle for ``fwht`` at every arity.  The sum runs through one
+    character factor per group of at most 8 bits, one float32 product each,
+    exact because every partial sum is an integer of magnitude at most 2^24.
+    It costs 4^n up to n = 8 and about k 2^n 2^ceil(n/k) for k = ceil(n/8)
+    groups above; the cached factors are at most 256 x 256 (256 KiB).
     """
     return WalshSpectrum(tt.n, _Fresh(_naive_columns(tt.n, tt.bits[:, None])[:, 0]))
 

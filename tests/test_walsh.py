@@ -175,21 +175,20 @@ def _literal_sum_columns(n, count, seed):
 def test_naive_columns_bit_identical_to_reference(n, count):
     bits = _literal_sum_columns(n, count, n)
     got = _naive_columns(n, bits)
-    assert got.dtype == np.float64 and got.shape == bits.shape
-    assert got.tobytes() == reference_naive_columns(n, bits).tobytes()
+    assert got.dtype == np.int32 and got.shape == bits.shape
+    assert got.astype(np.float64).tobytes() == reference_naive_columns(n, bits).tobytes()
 
 
-@pytest.mark.parametrize("count", [1, 2])
-@pytest.mark.parametrize("n", range(REFERENCE_MAX_N + 1, 21))
+@pytest.mark.parametrize("n, count", [(n, count) for n in range(REFERENCE_MAX_N + 1, 21)
+                                      for count in (1, 2)] + [(MAX_ARITY, 1)])
 def test_naive_columns_equal_the_butterfly_past_the_reference(n, count):
-    bits = _literal_sum_columns(n, count, n)
+    bits = _literal_sum_columns(n, count, n)  # at n = 24 a constant column: W(0) = 2^24
     got = _naive_columns(n, bits)
-    assert got.dtype == np.float64 and got.shape == bits.shape
-    assert np.array_equal(got.astype(np.int32), _fwht_columns(bits))
-    assert np.array_equal(got, np.round(got))
+    assert got.dtype == np.int32 and got.shape == bits.shape
+    assert np.array_equal(got, _fwht_columns(bits))
 
 
-@pytest.mark.parametrize("m", range(REFERENCE_MAX_N // 2 + 1))
+@pytest.mark.parametrize("m", range(9))  # every bit group size the literal sum uses
 def test_character_factor_entries(m):
     size = 1 << m
     expected = [[-1 if (p & x).bit_count() & 1 else 1 for x in range(size)] for p in range(size)]
@@ -212,6 +211,22 @@ def test_naive_memory_holds_no_quadratic_buffer():
     # measured); the whole int8 matrix alone would be 16 MiB
     assert peak < 1 << 20, peak
     assert current < 1 << 20, current  # only the 64 x 64 factors stay cached
+
+
+def test_naive_memory_at_n20_is_two_float32_blocks_and_small_factors():
+    tt = random_function(20, np.random.default_rng(0))
+    walsh_naive(make_constant(2, 0))
+    _character_matrix.cache_clear()
+    tracemalloc.start()
+    try:
+        walsh_naive(tt)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # two 4 MiB blocks alive at a time: a float32 product beside the signs,
+    # or the last product beside its int32 cast (8.08 MiB measured)
+    assert peak < 9 << 20, peak
+    assert current < 1 << 18, current  # the 64 x 64 and 128 x 128 factors (0.079 MiB measured)
 
 
 def _spoiled_butterfly(real):
@@ -245,7 +260,7 @@ def test_literal_sum_independent_of_the_butterfly(monkeypatch, capsys, n, count)
     monkeypatch.setattr(walsh, "_butterfly", spoiled)
     monkeypatch.setattr(djsim, "_butterfly", spoiled)
     assert not np.array_equal(_fwht_columns(bits), expected)  # the spoil takes effect
-    assert _naive_columns(n, bits).tobytes() == expected.tobytes()
+    assert _naive_columns(n, bits).astype(np.float64).tobytes() == expected.tobytes()
     assert cli.main(["verify", "--random", str(count), "--n", str(n)]) == 3
     out, err = capsys.readouterr()
     assert out.startswith(f"verified {count} table(s) at n={n}: ") and out.endswith(" (FAIL)\n")
