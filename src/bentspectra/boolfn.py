@@ -538,11 +538,15 @@ def _constant_bit(c) -> int:
     return int(c)
 
 
+def _parity_rows(k: Sequence[int] | np.ndarray, m: int) -> np.ndarray:
+    """k_i.x as uint8, one row per mask k_i and one column per m-bit x, over uint16."""
+    x = np.arange(1 << m, dtype=np.uint16)
+    return np.bitwise_count(np.asarray(k, np.uint16)[:, None] & x) & 1
+
+
 def make_constant(n: int, c: int) -> TruthTable:
     """The constant function f(x) = c."""
-    n = _check_arity(n)
-    c = _constant_bit(c)
-    return TruthTable(n, _Fresh(np.full(1 << n, c, dtype=np.uint8)))
+    return make_affine(n, 0, c)
 
 
 def make_affine(n: int, k: BitVector | int, c: int = 0) -> TruthTable:
@@ -550,9 +554,9 @@ def make_affine(n: int, k: BitVector | int, c: int = 0) -> TruthTable:
     n = _check_arity(n)
     kv = _as_value(k, n)
     c = _constant_bit(c)
-    idx = np.arange(1 << n, dtype=np.int64)
-    bits = (np.bitwise_count(idx & kv) & 1).astype(np.uint8) ^ c
-    return TruthTable(n, _Fresh(bits))
+    lo = n // 2  # row y, the bits from lo up, is k_hi.y XOR c XOR the parity row of k_lo
+    high, low = _parity_rows([kv >> lo, kv & ((1 << lo) - 1)], n - lo)
+    return TruthTable(n, _Fresh(((high ^ c)[:, None] ^ low[: 1 << lo]).ravel()))
 
 
 def _check_even_arity(n: int) -> int:
@@ -565,9 +569,10 @@ def _check_even_arity(n: int) -> int:
 def make_inner_product_bent(n: int) -> TruthTable:
     """The quadratic bent function XOR_i (x_{2i} AND x_{2i+1})."""
     n = _check_even_arity(n)
-    idx = np.arange(1 << n, dtype=np.int64)
-    pairs = idx & (idx >> 1) & ((1 << n) // 3)  # bit 2i is x_{2i} AND x_{2i+1}
-    return TruthTable(n, _Fresh((np.bitwise_count(pairs) & 1).astype(np.uint8)))
+    lo = 2 * (n // 4)  # even, so no pair straddles the halves, and n - lo >= lo
+    y = np.arange(1 << (n - lo), dtype=np.uint16)
+    h = np.bitwise_count(y & (y >> 1) & ((1 << (n - lo)) // 3)) & 1  # bit 2i: x_2i AND x_2i+1
+    return TruthTable(n, _Fresh((h[:, None] ^ h[: 1 << lo]).ravel()))  # h(high) XOR h(low)
 
 
 def make_mm_bent(
@@ -575,10 +580,10 @@ def make_mm_bent(
 ) -> TruthTable:
     """Maiorana-McFarland bent function f(x, y) = x.pi(y) XOR g(y).
 
-    ``x`` is the low half of the input bits and ``y`` the high half;
-    ``pi`` must be a permutation of [0, 2^half) and ``g`` (default
-    constant 0) an arbitrary function on the high half.  The result is
-    bent on n = 2 * half bits for every choice of ``pi`` and ``g``.
+    ``x`` is the low half of the input bits and ``y`` the high half, so row
+    y of the table is the parity row of pi(y) XOR g(y); ``pi`` must be a
+    permutation of [0, 2^half) and ``g`` (default constant 0) an arbitrary
+    function on the high half.  The result is bent for every ``pi`` and ``g``.
     """
     half = _index(half, "half-arity")
     if half < 1 or 2 * half > MAX_ARITY:
@@ -593,11 +598,7 @@ def make_mm_bent(
         g = make_constant(half, 0)
     elif g.n != half:
         raise ValueError(f"arity mismatch: g.n = {g.n}, expected {half}")
-    idx = np.arange(1 << (2 * half), dtype=np.int64)
-    x = idx & (size - 1)
-    y = idx >> half
-    bits = (np.bitwise_count(x & pi_arr[y]) & 1).astype(np.uint8) ^ g.bits[y]
-    return TruthTable(2 * half, _Fresh(bits))
+    return TruthTable(2 * half, _Fresh((_parity_rows(pi_arr, half) ^ g.bits[:, None]).ravel()))
 
 
 #: Table entries one block of tables holds.  ``verify --random`` and

@@ -8,8 +8,8 @@ i.e. the Walsh spectrum of f scaled by 2^-n.  Every amplitude is real: the
 circuit is H^n, a +-1 phase oracle, H^n, none of which leaves the real
 line.  Amplitudes are dyadic rationals W / 2^n with |W| <= 2^n, exactly
 representable in float64 at every arity up to ``MAX_ARITY`` = 24, so the
-independent routes below agree to within butterfly rounding (~1e-15) and
-are checked against each other at 1e-12:
+independent routes below agree to within butterfly rounding (~1e-15), and
+``verify`` measures each against the literal sum's exact int32 W at 1e-12:
 
 * ``amplitudes_direct``      - literal sum, one bit group at a time, 4^n up to
   n = 8 and about k 2^n 2^ceil(n/k) for k = ceil(n/8) groups above;
@@ -109,18 +109,15 @@ def _scaled_spectra(n: int, w: np.ndarray) -> np.ndarray:
     return amps
 
 
-def _direct_columns(n: int, bits: np.ndarray) -> np.ndarray:
-    return _scaled_spectra(n, _naive_columns(n, bits))
-
-
 def amplitudes_direct(tt: TruthTable) -> Amplitudes:
     """Literal evaluation of the amplitude sum, one bit group at a time, at every arity.
 
     Independent of both the butterfly transform and the statevector
     pipeline; ``walsh._naive_columns`` sums in float32, and every partial sum
-    is an integer of at most 2^n in magnitude, so the result is exact.
+    is an integer of at most 2^n in magnitude, so W and W / 2^n are exact.
     """
-    return Amplitudes(tt.n, _Fresh(_direct_columns(tt.n, tt.bits[:, None])[:, 0]))
+    w = _naive_columns(tt.n, tt.bits[:, None])
+    return Amplitudes(tt.n, _Fresh(_scaled_spectra(tt.n, w)[:, 0]))
 
 
 def amplitudes_from_walsh(spec: WalshSpectrum) -> Amplitudes:
@@ -208,13 +205,13 @@ class RouteFault(Exception):
     """A route of ``verify`` disagrees with the literal sum or fails its own value check."""
 
 
-def _check_route(route: str, check, values: np.ndarray, first: int,
-                 amps: np.ndarray | None = None, direct: np.ndarray | None = None) -> None:
+def _check_route(route: str, check, values: np.ndarray, first: int, scale: int = 1,
+                 w: np.ndarray | None = None) -> None:
     """Run ``check`` on a block of table columns; a failure is a ``RouteFault``.
 
     The fault names the route and the first table whose column fails, and, given
-    the route's amplitudes and the literal sum, the p of that table's largest
-    deviation from it.  Only a failing block is checked column by column.
+    the literal sum's W, the p of that table's largest |values * scale - W| / 2^n,
+    in float64.  Only a failing block is checked column by column.
     """
     try:
         return check(values)
@@ -225,45 +222,45 @@ def _check_route(route: str, check, values: np.ndarray, first: int,
             check(values[:, col:col + 1])
         except ValueError as exc:
             fault = f"{route} route {exc} on table {first + col}"
-            if direct is not None:
-                dev = np.abs(amps[:, col] - direct[:, col])
+            if w is not None:
+                dev = np.abs(np.multiply(values[:, col], scale, dtype=np.float64) - w[:, col])
                 p = int(dev.argmax())
-                fault += f": off the literal sum by {dev[p]:.3e} at p={p}"
+                fault += f": off the literal sum by {dev[p] / w.shape[0]:.3e} at p={p}"
             raise RouteFault(fault) from None
-
-
-def _walsh_columns(n: int, bits: np.ndarray, first: int, direct: np.ndarray) -> np.ndarray:
-    w = _fwht_columns(bits)
-    amps = _scaled_spectra(n, w)
-    _check_route("walsh", partial(_check_spectra, n), w, first, amps, direct)
-    return amps
 
 
 def _worst_deviation(n: int, first: int, bits: np.ndarray) -> tuple[float, str, int, int]:
     """Largest |route - literal sum| over the tables first, first + 1, ... in ``bits``.
 
-    Returns it with its route, table and outcome p.  Every value check that
-    ``TruthTable``, ``WalshSpectrum`` and ``Amplitudes`` make runs on every column:
-    invalid table entries raise ``ValueError``, and a route whose values fail
-    their check (the literal sum's or a statevector route's normalization, the
-    walsh route's range, parity or Parseval) raises ``RouteFault``.
+    Returns it with its route, table and outcome p.  The literal sum is kept as
+    its int32 W; each route's block times its scale (1 for a spectrum, 2^n for
+    amplitudes), exact, minus W is 2^n times the deviation bit for bit.  Every
+    value check that ``TruthTable``, ``WalshSpectrum`` and ``Amplitudes`` make
+    runs on every column: invalid table entries raise ``ValueError``, and a
+    route whose values fail their check (range, parity or Parseval for the
+    literal sum and the walsh route, normalization for a statevector route)
+    raises ``RouteFault``.
     """
     _check_bits(bits)
-    direct = _direct_columns(n, bits)
-    _check_route("literal sum", _check_normalized, direct, first)
+    size = 1 << n
+    w = _naive_columns(n, bits)
+    _check_route("literal sum", partial(_check_spectra, n), w, first)
     # a running maximum, replaced only when strictly larger, keeps the first
     # maximum in (route, p, table) order
     worst = (-1.0, "", 0, 0)
-    for route, columns in (("walsh", partial(_walsh_columns, first=first, direct=direct)),
-                           ("circuit", _circuit_columns), ("ancilla", _ancilla_columns)):
+    for route, columns, check, scale in (
+            ("walsh", lambda n, bits: _fwht_columns(bits), partial(_check_spectra, n), 1),
+            ("circuit", _circuit_columns, _check_normalized, size),
+            ("ancilla", _ancilla_columns, _check_normalized, size)):
         dev = columns(n, bits)
-        _check_route(route, _check_normalized, dev, first, dev, direct)
-        dev -= direct
+        _check_route(route, check, dev, first, scale, w)
+        dev *= scale
+        dev -= w
         np.abs(dev, out=dev)
         p, col = np.unravel_index(int(dev.argmax()), dev.shape)
-        if dev[p, col] > worst[0]:
-            worst = (float(dev[p, col]), route, first + int(col), int(p))
-        del dev  # beside the literal sum, one route's block is alive at a time
+        if dev[p, col] / size > worst[0]:
+            worst = (float(dev[p, col] / size), route, first + int(col), int(p))
+        del dev  # beside W, one route's block is alive at a time
     return worst
 
 

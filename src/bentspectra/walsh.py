@@ -33,7 +33,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .boolfn import (BitVector, TruthTable, _butterfly, _check_arity, _check_even_arity,
-                     _Fresh, _Frozen, _frozen_array, _index, _signs, _tables_per_block)
+                     _Fresh, _Frozen, _frozen_array, _index, _parity_rows, _signs,
+                     _tables_per_block)
 
 
 def _square_sums(a: np.ndarray) -> np.ndarray:
@@ -110,8 +111,7 @@ def _character_matrix(m: int) -> np.ndarray:
     ``_naive_columns`` uses it as the factor of one bit group, m <= 8, so the
     largest is 256 x 256 (256 KiB).
     """
-    idx = np.arange(1 << m, dtype=np.uint16)
-    chi = _signs(np.bitwise_count(idx[:, None] & idx[None, :]) & 1, np.float32)
+    chi = _signs(_parity_rows(np.arange(1 << m), m), np.float32)
     chi.setflags(write=False)
     return chi
 

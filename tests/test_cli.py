@@ -653,11 +653,12 @@ def test_verify_walsh_route_failing_parseval_is_a_route_fault(run, monkeypatch):
     )
 
 
-def test_verify_unnormalized_literal_sum_is_a_route_fault(run, monkeypatch):
-    real = djsim._direct_columns
-    monkeypatch.setattr(djsim, "_direct_columns", lambda n, bits: real(n, bits) * (1 + 1e-9))
+def test_verify_literal_sum_failing_parseval_is_a_route_fault(run, monkeypatch):
+    real = djsim._naive_columns
+    monkeypatch.setattr(djsim, "_naive_columns", lambda n, bits: 3 * real(n, bits))
+    # a bent table: every |W| = 4 becomes 12, within range and parity
     assert _route_fault_line(run, ["--tt", "0001000100011110"]) == (
-        "error: literal sum route amplitudes are not normalized on table 0\n"
+        "error: literal sum route coefficient squares must sum to 4^n (Parseval) on table 0\n"
     )
 
 

@@ -34,12 +34,11 @@ from bentspectra.djsim import (
     _SQRT1_2,
     _ancilla_columns,
     _circuit_columns,
-    _direct_columns,
     _hadamard_pair,
     _scaled_spectra,
 )
 from bentspectra.spectra import export_histogram_json
-from bentspectra.walsh import _fwht_columns
+from bentspectra.walsh import _fwht_columns, _naive_columns
 
 ROUTE_TOL = 1e-12
 
@@ -150,7 +149,7 @@ def test_column_bodies_match_single_tables_bit_for_bit(n):
     bits = _random_columns(n, 9, np.random.default_rng(n))
     w = _fwht_columns(bits)
     blocks = {
-        amplitudes_direct: _direct_columns(n, bits),
+        amplitudes_direct: _scaled_spectra(n, _naive_columns(n, bits)),
         simulate_circuit: _circuit_columns(n, bits),
         simulate_with_ancilla: _ancilla_columns(n, bits),
     }
@@ -261,6 +260,17 @@ def test_threaded_circuit_route_memory_is_its_state_and_the_workers_buffers(monk
 def test_walsh_route_memory_is_its_scaled_spectrum():
     # the spectrum is cast once and scaled in place, and the Amplitudes keep it
     assert _route_peak(amplitudes_from_walsh, fwht(_table(18))) <= 8 * (1 << 18) + _SMALL
+
+
+def test_verify_block_memory_is_the_table_w_the_ancilla_halves_and_one_workers_buffers():
+    # verify --random's n = 12 block of 64 tables: beside the uint8 tables, the
+    # literal sum's int32 W, the ancilla route's two float64 halves and one
+    # worker's buffers, with no float64 copy of the literal sum (6.51 MiB
+    # measured, 7.51 MiB with a float64 literal sum)
+    n, count = 12, boolfn._tables_per_block(12)
+    bits = _random_columns(n, count, np.random.default_rng(12))
+    peak = _route_peak(lambda bits: djsim._worst_deviation(n, 0, bits), bits)
+    assert peak <= bits.size * (1 + 4 + 2 * 8) + 8 * _WORKER + _SMALL, peak
 
 
 @given(truth_tables(max_n=8))
