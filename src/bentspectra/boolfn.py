@@ -539,9 +539,20 @@ def _constant_bit(c) -> int:
 
 
 def _parity_rows(k: Sequence[int] | np.ndarray, m: int) -> np.ndarray:
-    """k_i.x as uint8, one row per mask k_i and one column per m-bit x, over uint16."""
-    x = np.arange(1 << m, dtype=np.uint16)
-    return np.bitwise_count(np.asarray(k, np.uint16)[:, None] & x) & 1
+    """k_i.x as uint8, one row per mask k_i and one column per m-bit x.
+
+    With x = (x_hi, x_lo) split at bit m // 2, k.x is k_hi.x_hi XOR k_lo.x_lo,
+    so each row is the outer XOR of the parity rows of k_hi and k_lo over the
+    two halves of x's bits, written straight into the result: beside it only
+    those rows and their uint16 masks, of about 2^(m/2) entries a row, are held.
+    """
+    k = np.asarray(k, np.uint16)
+    lo = m // 2
+    high, low = (np.bitwise_count(part[:, None] & np.arange(1 << bits, dtype=np.uint16)) & 1
+                 for part, bits in ((k >> lo, m - lo), (k & ((1 << lo) - 1), lo)))
+    rows = np.empty((k.size, 1 << (m - lo), 1 << lo), dtype=np.uint8)
+    np.bitwise_xor(high[:, :, None], low[:, None, :], out=rows)
+    return rows.reshape(k.size, -1)
 
 
 def make_constant(n: int, c: int) -> TruthTable:
@@ -598,7 +609,9 @@ def make_mm_bent(
         g = make_constant(half, 0)
     elif g.n != half:
         raise ValueError(f"arity mismatch: g.n = {g.n}, expected {half}")
-    return TruthTable(2 * half, _Fresh((_parity_rows(pi_arr, half) ^ g.bits[:, None]).ravel()))
+    rows = _parity_rows(pi_arr, half)
+    rows ^= g.bits[:, None]
+    return TruthTable(2 * half, _Fresh(rows.ravel()))
 
 
 #: Table entries one block of tables holds.  ``verify --random`` and

@@ -32,6 +32,7 @@ import json
 import os
 import re
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -252,12 +253,29 @@ def _cmd_sample(args, cap: int) -> None:
 
 def _bars(report: spectra.SpectrumReport, column: str, fmt: str,
           title: str | None = None):
-    """Text blocks of the bars of one report column, titled ``"{generator}: {column}"`` by default."""
-    values = getattr(report, {"walsh": "walsh", "amplitude": "amplitudes",
-                              "probability": "probabilities"}[column])
+    """Text blocks of the bars of one report column, titled ``"{generator}: {column}"`` by default.
+
+    The SVG is keyed by the int32 W: each distinct W's column value is
+    computed as the report computes it (W, W / 2^n or its square), so no
+    float column of 2^n entries is built.
+    """
     if title is None:
         title = f"{report.generator}: {column}" if report.generator else column
+    if fmt == "svg":
+        scale = float(1 << report.n)
+        value = {"walsh": float, "amplitude": lambda w: w / scale,
+                 "probability": lambda w: (w / scale) * (w / scale)}[column]
+        return spectra._svg_blocks(report.walsh, title, value)
+    values = getattr(report, {"walsh": "walsh", "amplitude": "amplitudes",
+                              "probability": "probabilities"}[column])
     return spectra._bar_blocks(values, title, fmt)
+
+
+def _check_rows(cap: int, fmt: str, rows: int) -> None:
+    """Refuse a CSV report of ``rows`` rows, a power of two, over the arity cap or the bar cap."""
+    if rows >= 2 and not rows & (rows - 1):
+        _check_arity(rows.bit_length() - 1, cap)
+        spectra._check_bar_count(rows, fmt)
 
 
 def _plot_input(args, cap: int) -> str | bytes:
@@ -266,19 +284,25 @@ def _plot_input(args, cap: int) -> str | bytes:
     # exact for a valid CSV report; a JSON one is read first.  A str pattern's \s
     # also matches \x1c-\x1f, so the bytes pattern names them
     raw = isinstance(data, bytes)
-    rows = data.count(b"," if raw else ",") // 3 - 1
-    if rows >= 2 and not rows & (rows - 1) \
-            and not re.match(rb"[\s\x1c-\x1f]*\{" if raw else r"\s*\{", data):
-        _check_arity(rows.bit_length() - 1, cap)
-        spectra._check_bar_count(rows, args.format)
+    if not re.match(rb"[\s\x1c-\x1f]*\{" if raw else r"\s*\{", data):
+        _check_rows(cap, args.format, data.count(b"," if raw else ",") // 3 - 1)
     return data
 
 
 def _cmd_plot(args, cap: int) -> None:
-    # no caller name holds the input, so the reader can free it once it has a decoded
-    # or stripped copy; an exported CSV is checked as it is given, with no copy at
-    # all, and one that differs from an export only by surrounding whitespace as stripped
-    report = spectra.read_report(_plot_input(args, cap))
+    report = None
+    if args.infile and args.tt is None and Path(args.infile).is_file():
+        # an export is read from the file in pieces, and its row count meets the
+        # caps before any of it is held
+        with open(args.infile, "rb") as fh:
+            report = spectra._canonical_csv(fh, partial(_check_rows, cap, args.format))
+    if report is None:
+        # any other input is read whole, as its text.  A file goes straight to the
+        # strip path, which accepts an export too: a regular file here is none as it
+        # stands.  No caller name holds the input, so the reader can free it once
+        # it has a decoded or stripped copy
+        read = spectra._read_stripped if args.infile else spectra.read_report
+        report = read(_plot_input(args, cap))
     _check_arity(report.n, cap)
     _write(_bars(report, args.column, args.format, args.title), args.out)
 

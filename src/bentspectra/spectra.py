@@ -17,16 +17,19 @@ of two-digit decimals.  Each column is gathered once per block of 2^12 rows
 and the block is joined once, so no string is built per row.  The
 string-returning exporters join their blocks; the CLI writes the blocks as
 they come, so a command's memory is its columns and a few blocks, not its
-text.  The CSV reader takes the file's text or its bytes, rebuilds the
-report from the W column alone and accepts the file when the report's
-export, compared block by block, is those bytes; only a file that differs
-from it is decoded, if need be, and parsed field by field.  All
+text.  The CSV reader takes the file's text, its bytes or the open file,
+reads it in pieces, rebuilds the report from the W column alone and accepts
+the file when the report's export, compared block by block, is those bytes;
+only a file that differs from it is decoded, if need be, and parsed field by
+field.  The SVG bars of a report are keyed by W, so a bar's height is
+formatted once per distinct W, from W.  All
 exporters are deterministic, and floating-point columns are printed with up
 to 17 significant digits, enough to round-trip float64 losslessly.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from functools import partial
@@ -91,17 +94,23 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     An integer column spanning at most 2 * len + 1 values (every W column, by
     Parseval, and a count column unless one outcome takes nearly all shots)
-    uses a presence table and its running count, sized by the column length
-    alone; any other column goes through ``np.unique``.
+    uses a presence table and its running count, sized by the column's span;
+    both are filled and read one ``_BLOCK_ROWS`` slice of the column at a
+    time, so the int32 index is the only array of the column's length it makes.
+    Any other column goes through ``np.unique``.
     """
     if values.dtype.kind in "iu":
         low, high = int(values.min()), int(values.max())
         if high - low <= 2 * values.size:
-            keys = values - low
+            slices = [slice(at, at + _BLOCK_ROWS) for at in range(0, values.size, _BLOCK_ROWS)]
             present = np.zeros(high - low + 1, dtype=bool)
-            present[keys] = True
-            index = np.cumsum(present, dtype=np.int32)[keys]
-            index -= 1
+            for part in slices:
+                present[values[part] - low] = True
+            rank = np.cumsum(present, dtype=np.int32)
+            rank -= 1
+            index = np.empty(values.size, dtype=np.int32)
+            for part in slices:
+                index[part] = rank[values[part] - low]
             return np.flatnonzero(present) + low, index
     return np.unique(values, return_inverse=True)
 
@@ -270,71 +279,125 @@ def _read_csv(lines: list[str]) -> SpectrumReport:
     )
 
 
-#: Bytes per slice in which ``_canonical_csv`` looks for commas.
+#: Bytes per piece in which ``_canonical_csv`` reads its source.
 _SCAN_BYTES = 1 << 18
 
 
 def _comma_positions(buf: np.ndarray) -> np.ndarray:
-    """The int32 positions of the commas in ``buf``, under 2^31 bytes, found one slice at a time."""
-    pieces = []
-    for at in range(0, buf.size, _SCAN_BYTES):
-        piece = np.flatnonzero(buf[at:at + _SCAN_BYTES] == ord(",")).astype(np.int32)
-        piece += at
-        pieces.append(piece)
-    return np.concatenate(pieces)
+    """The int32 positions of the commas in ``buf``, a piece of under 2^31 bytes."""
+    return np.flatnonzero(buf == ord(",")).astype(np.int32)
 
 
-def _canonical_csv(text: str | bytes) -> SpectrumReport | None:
-    """The report whose ``export_csv`` is exactly ``text``; None for any other text.
+def _walsh_fields(source, rows: int) -> np.ndarray | None:
+    """The int32 walsh field of each of ``rows`` rows, read from ``source`` after the header.
 
-    Reads only the walsh field of each row, digit by digit from the bytes
-    (``text`` itself when it is bytes), and rebuilds the report from it.
-    Acceptance rests on the re-export equalling those bytes, so a misread W
-    can only send the text on to ``_read_csv``.  An export is at most about
-    1.1 GB, so a buffer of 2^31 bytes or more, past int32 positions, is refused.
+    Body comma 3r + 1 closes row r's walsh field and comma 3r opens it.  Each
+    piece is read in behind the last 9 bytes before it, a sign and eight
+    digits (|W| <= 2^24), and the position of the last comma before it, so a
+    field that a piece boundary cuts is parsed whole with the piece that
+    closes it; a longer field is refused.  None when the fields are not
+    ``rows`` such numbers.
     """
-    if not text.isascii():
+    keep = 9
+    window = np.empty(keep + _SCAN_BYTES, dtype=np.uint8)
+    w = np.empty(rows, dtype=np.int32)
+    filled = seen = kept = 0
+    last = -1  # window position of the comma before the piece
+    while got := source.readinto(window[keep:]):
+        commas = np.concatenate(([last], _comma_positions(window[keep:keep + got]) + keep))
+        first = (2 - seen) % 3 or 3  # the first of them that closes a walsh field
+        end = commas[first::3]
+        start = commas[first - 1::3][:end.size] + 1
+        if end.size:
+            if filled + end.size > rows or (end - start).max() > keep:
+                return None
+            negative = window[start] == ord("-")
+            width = end - start - negative
+            if width.min() < 1 or width.max() > 8:
+                return None
+            # an ASCII byte is a "digit" of magnitude at most 79, so eight of them sum
+            # within int32 and W is parsed in the dtype the spectrum stores
+            v = np.zeros(end.size, dtype=np.int32)
+            for k in range(int(width.max())):
+                digit = window[end - 1 - k].astype(np.int32) - ord("0")
+                v += np.where(width > k, digit, 0) * 10**k
+            np.negative(v, out=v, where=negative)
+            w[filled:filled + end.size] = v
+            filled += end.size
+        seen += commas.size - 1
+        last = int(commas[-1]) - got
+        kept = min(keep, kept + got)
+        window[keep - kept:keep] = window[keep + got - kept:keep + got]
+    return w if filled == rows else None
+
+
+def _canonical_csv(source, check=None) -> SpectrumReport | None:
+    """The report whose ``export_csv`` is exactly ``source``; None for any other input.
+
+    ``source`` is text, its bytes or a seekable binary file, read from its
+    start in pieces of ``_SCAN_BYTES``, so the reader holds W and a few
+    pieces, not the input:
+
+    1. every piece must be ASCII with no ``\\r``, and its commas are counted;
+       when they are three a row for 2^k rows, k >= 1, ``check``, if given,
+       is called with the row count before any W is held, and may raise;
+    2. the walsh field of each row is parsed, digit by digit, into one int32
+       W (``_walsh_fields``);
+    3. the report is rebuilt from W, and each block of its export must be the
+       next bytes of the input, and the last block its end.
+
+    Acceptance rests on the re-export, so a misread W can only send the input
+    on to ``_read_csv``.  An export is at most about 1.1 GB, so an input of
+    2^31 bytes or more is refused unread.
+    """
+    if isinstance(source, (str, bytes)):
+        if not source.isascii():
+            return None
+        data = source.encode("ascii") if isinstance(source, str) else source
+        size, source = len(data), io.BytesIO(data)
+    else:
+        size = source.seek(0, io.SEEK_END)
+        source.seek(0)
+    head = (_CSV_HEADER + "\n").encode()
+    if size >> 31 or source.read(len(head)) != head:
         return None
-    data = text.encode("ascii") if isinstance(text, str) else text
-    if not data.startswith(_CSV_HEADER.encode() + b"\n") or len(data) >> 31:
+    commas, piece = 0, bytearray(_SCAN_BYTES)  # one piece, refilled in place
+    while got := source.readinto(piece):
+        if got < len(piece):
+            del piece[got:]
+        if not piece.isascii() or b"\r" in piece:
+            return None
+        commas += piece.count(b",")
+    del piece
+    rows, extra = divmod(commas, 3)
+    if extra or rows < 2 or rows & (rows - 1):
         return None
-    buf = np.frombuffer(data, dtype=np.uint8)
-    commas = _comma_positions(buf)[3:]  # past the header's three
-    rows = commas.size // 3
-    if commas.size % 3 or rows < 2 or rows & (rows - 1):
+    if check is not None:
+        check(rows)
+    source.seek(len(head))
+    w = _walsh_fields(source, rows)
+    if w is None:
         return None
-    start, end = commas[0::3] + 1, commas[1::3]
-    negative = buf[start] == ord("-")
-    width = end - start - negative
-    if width.min() < 1 or width.max() > 8:  # |W| <= 2^24
-        return None
-    # an ASCII byte is a "digit" of magnitude at most 79, so eight of them sum
-    # within int32 and W is parsed in the dtype the spectrum stores
-    w = np.zeros(rows, dtype=np.int32)
-    for k in range(int(width.max())):
-        digit = buf[end - 1 - k].astype(np.int32) - ord("0")
-        w += np.where(width > k, digit, 0) * 10**k
-    np.negative(w, out=w, where=negative)
-    del buf, commas, start, end, width, negative  # only W and the bytes are needed from here
     try:
         report = SpectrumReport(WalshSpectrum(rows.bit_length() - 1, _Fresh(w)))
     except ValueError:
         return None
-    at = 0  # the export, block by block, must be the bytes
+    source.seek(0)
     for block in _csv_blocks(report):
         block = block.encode("ascii")
-        if not data.startswith(block, at):
+        if source.read(len(block)) != block:
             return None
-        at += len(block)
-    return report if at == len(data) else None
+    return report if not source.read(1) else None
 
 
 def read_report(text: str | bytes) -> SpectrumReport:
     """Parse a report previously exported as CSV or JSON, given as text or as its UTF-8 bytes.
 
-    The input as given is first read as a CSV, bytes with no decode or copy
-    and text through its ASCII encoding: the report is rebuilt from its walsh
-    column alone and accepted when its export is the input itself.  Any other
+    The input as given is first read as a CSV, in pieces through an
+    ``io.BytesIO`` over the bytes, or over the text's ASCII encoding: the
+    report is rebuilt from its walsh column alone and accepted when its
+    export is the input itself (``_canonical_csv``), so the read holds the
+    input, W and a few pieces and blocks.  Any other
     input is decoded, if bytes, and stripped.  A CSV that then is an export
     but for its final newline (one that lost it or gained surrounding
     whitespace) is read the same way; any other (other line ends, blank lines
@@ -345,8 +408,11 @@ def read_report(text: str | bytes) -> SpectrumReport:
     or self-contradicting input raises ``ValueError``.
     """
     report = _canonical_csv(text)
-    if report is not None:
-        return report
+    return report if report is not None else _read_stripped(text)
+
+
+def _read_stripped(text: str | bytes) -> SpectrumReport:
+    """``read_report`` of an input that is not an export as given: decoded, if bytes, and stripped."""
     if isinstance(text, bytes):
         text = text.decode()
     text = text.strip()
@@ -481,15 +547,24 @@ def _x_columns(left: float, slot: float, offset: float,
     return [(heads, whole - first), (_TWO_DIGITS, frac)]
 
 
-def _svg_blocks(vals: np.ndarray, title: str):
-    _check_bar_count(vals.size, "svg")
+def _svg_blocks(keys: np.ndarray, title: str, value=float):
+    """The SVG of one bar per key: bar i is |value(keys[i])| high, scaled by the largest.
+
+    ``value`` runs once per distinct key, in the tail of its rows, so bars
+    can be keyed by an integer column: ``cli`` keys a report's bars by its
+    int32 W and computes each column value from W, and the rows then go
+    through ``_distinct``'s presence table, with no float column and no
+    sort.  ``render_bars`` keys the bars by their own float values.
+    """
+    _check_bar_count(keys.size, "svg")
     width, height = 800.0, 360.0
     left, right, top, bottom = 40.0, 10.0, 30.0, 20.0
     plot_w = width - left - right
     plot_h = height - top - bottom
     base_y = top + plot_h
-    peak = float(np.abs(vals).max())
-    slot = plot_w / vals.size
+    # value(|key|) grows with |key|, so the largest bar has the smallest or largest key
+    peak = max(abs(value(keys.min().item())), abs(value(keys.max().item())))
+    slot = plot_w / keys.size
     bar_w = slot * 0.9
     offset = (slot - bar_w) / 2
 
@@ -504,9 +579,9 @@ def _svg_blocks(vals: np.ndarray, title: str):
     foot = (f'\n<line x1="{left:.2f}" y1="{base_y:.2f}" x2="{left + plot_w:.2f}" '
             f'y2="{base_y:.2f}" stroke="black"/>\n</svg>\n')
 
-    def tail(v: float) -> str:  # every bar of the same |v| shares the text after its x
-        h = 0.0 if peak == 0.0 else plot_h * v / peak
+    def tail(key) -> str:  # every bar of the same key shares the text after its x
+        h = 0.0 if peak == 0.0 else plot_h * abs(value(key)) / peak
         return f'" y="{base_y - h:.2f}" width="{bar_w:.2f}" height="{h:.2f}" fill="steelblue"/>'
 
-    return _row_blocks(head, np.abs(vals), tail, "\n", foot,
+    return _row_blocks(head, keys, tail, "\n", foot,
                        partial(_x_columns, left, slot, offset))

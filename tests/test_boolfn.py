@@ -334,8 +334,9 @@ def test_generators_match_the_int64_index_formulas(n):
     ("affine", (1 << 18) + (32 << 10)),
     # the table and the 2^9-entry half table: 0.270 MiB (4.50 MiB before)
     ("ip-bent", (1 << 18) + (32 << 10)),
-    # the uint16 masks pi(y) & x and the uint8 table: 0.755 MiB (8.25 MiB before)
-    ("mm-bent", 3 * (1 << 18) + (32 << 10)),
+    # the table, written as the outer XOR of quarter-width parity rows: 0.296 MiB
+    # (0.755 MiB with the full uint16 masks pi(y) & x, 8.25 MiB before)
+    ("mm-bent", (1 << 18) + (48 << 10)),
 ])
 def test_generator_memory_at_n18_is_the_table_and_its_half_width_rows(kind, bound):
     rng = np.random.default_rng(18)
@@ -608,15 +609,26 @@ def test_threaded_butterfly_matches_one_loop_bit_for_bit(monkeypatch, pair, m, w
 
 
 def _threads_used(monkeypatch, shape):
+    """The most threads that ran shares of one pass of the butterfly on ``shape``."""
     monkeypatch.setattr(boolfn, "_WORKERS", 3)
-    idents = set()
+    in_threads, counts = boolfn._in_threads, []
 
-    def recording(x, y, t=None):
-        idents.add(threading.get_ident())
-        _sum_diff(x, y, t)
+    def counting(run, args):
+        # the Thread objects themselves, held until the pass ends, so a worker that
+        # starts after another has exited cannot count as it, as a reused
+        # get_ident() value could
+        threads = set()
 
-    _butterfly(np.ones(shape, np.int32), recording)
-    return len(idents)
+        def recording(*a):
+            threads.add(threading.current_thread())
+            run(*a)
+
+        in_threads(recording, args)
+        counts.append(len(threads))
+
+    monkeypatch.setattr(boolfn, "_in_threads", counting)
+    _butterfly(np.ones(shape, np.int32), _sum_diff)
+    return max(counts)
 
 
 def test_only_slices_of_2_20_entries_use_threads(monkeypatch):

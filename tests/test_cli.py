@@ -393,13 +393,63 @@ def test_plot_memory_from_an_export_csv_is_its_bytes_and_int32_positions(run, tm
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the peak is in the canonical read: the file's bytes (13.6 MiB), the int32
-    # comma positions (12 bytes a row) and W's int32 start, end, width and value
-    # with their digit temporaries, 37 bytes a row in all (22.9 MiB measured).
-    # 46.7 MiB when the reader held the text, its ASCII copy, a file-sized comma
-    # mask and int64 positions
-    bound = report.stat().st_size + 44 * (1 << 18)
+    # the file is read in pieces and never held: the peak is W and its int32
+    # distinct index, with a block of the export as text and bytes and the
+    # file's next bytes (2.86 MiB measured for a 13.6 MiB file).  22.9 MiB when
+    # the reader held the file's bytes and int32 comma positions, 46.7 MiB when
+    # it held the text, its ASCII copy, a file-sized comma mask and int64 positions
+    bound = 2 * 4 * (1 << 18) + (1 << 20)
     assert peak <= bound, (peak, bound)
+
+
+def _export_file(path, n):
+    report = spectra.make_report(random_function(n, np.random.default_rng(n)))
+    path.write_bytes(spectra.export_csv(report).encode())
+    return report
+
+
+def test_plot_refuses_an_over_cap_export_holding_one_piece(run, monkeypatch, tmp_path):
+    path = tmp_path / "r.csv"
+    _export_file(path, 14)  # 0.8 MB
+    monkeypatch.setenv("BENTSPECTRA_MAX_N", "10")
+    argv = ["plot", "--in", str(path), "--format", "svg"]
+    run(argv)  # warm
+    tracemalloc.start()
+    try:
+        outcome = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome == (2, "", "error: n = 14 is outside the configured cap [1, 10]\n")
+    bound = spectra._SCAN_BYTES + (256 << 10)
+    assert peak <= bound, (peak, bound)
+
+
+def test_plot_in_reads_an_export_edited_or_cut_at_a_piece_seam_as_its_text(run, monkeypatch,
+                                                                          tmp_path):
+    path = tmp_path / "r.csv"
+    report = _export_file(path, 14)
+    data = path.read_bytes()
+    head = len(spectra._CSV_HEADER) + 1  # the pieces start after the header line
+    row = data.rindex(b"\n", 0, head + spectra._SCAN_BYTES) + 1  # the row the first seam cuts
+    walsh = data.index(b",", row) + 1
+    # pieces of 2^18 bytes, and pieces whose first seam cuts that row's walsh field
+    for scan in (spectra._SCAN_BYTES, walsh + 1 - head):
+        monkeypatch.setattr(spectra, "_SCAN_BYTES", scan)
+        path.write_bytes(data)
+        with path.open("rb") as fh:
+            assert spectra._canonical_csv(fh) == report
+        for seam in range(head + scan, len(data), scan):
+            row = data.rindex(b"\n", 0, seam) + 1
+            end = data.index(b",", data.index(b",", row) + 1)  # its walsh field's last digit
+            digit = b"1" if data[end - 1:end] == b"0" else b"0"
+            for variant in (data[:end - 1] + digit + data[end:], data[:seam]):
+                path.write_bytes(variant)
+                with path.open("rb") as fh:
+                    assert spectra._canonical_csv(fh) is None
+                outcome = run(["plot", "--in", str(path), "--format", "svg"])
+                assert outcome == run(["plot", "--tt", variant.decode(), "--format", "svg"])
+                assert outcome[0] == 2, (scan, seam)
 
 
 def test_plot_reads_a_json_or_within_cap_report_in_full(run, monkeypatch):

@@ -950,12 +950,11 @@ def test_streamed_dj_memory_is_the_w_column_and_a_few_blocks(tmp_path):
     tt, table, out, peak = _streamed_cli_peak(tmp_path, "dj")
     report = make_report(tt, generator=str(table))
     assert out.read_text() == export_csv(report)
-    # the peak is in _distinct: the table (256 KiB), W and the offset keys and
-    # distinct index it adds (int32 each, 2.09 MiB measured); writing a block
-    # holds W, the index, the table and one block of at most 219 KiB as text and
-    # bytes, less.  256 KiB for the rest: 3.39 MiB measured, and 9.35 MiB when a
-    # block was 2^16 rows
-    bound = tt.bits.nbytes + 3 * report.walsh.nbytes + (256 << 10)
+    # the peak is writing a block: the table (256 KiB), W and its int32 distinct
+    # index, and one block of at most 219 KiB as text and bytes with its columns.
+    # 768 KiB for the rest: 2.94 MiB measured; 3.39 MiB when _distinct held W's
+    # offset keys beside the index, and 9.35 MiB when a block was 2^16 rows
+    bound = tt.bits.nbytes + 2 * report.walsh.nbytes + (768 << 10)
     assert peak <= bound < out.stat().st_size, (peak, bound)
 
 
@@ -963,10 +962,10 @@ def test_streamed_dj_memory_is_the_w_column_and_a_few_blocks(tmp_path):
 def test_streamed_json_and_walsh_memory_is_the_w_column_and_a_few_blocks(tmp_path, command,
                                                                          args):
     tt, _, out, peak = _streamed_cli_peak(tmp_path, command, *args)
-    # as for the CSV: the table, W, its keys and index; a JSON block of 2^12
-    # rows is at most 545 KiB, held as text and as bytes while W and its index
-    # (2 MiB) are alive, so 768 KiB for the rest.  Measured: 3.71 MiB for the
-    # JSON and 3.39 MiB for walsh, 19.66 and 5.93 MiB when a block was 2^16 rows
+    # as for the CSV: the table, W and its index; a JSON block of 2^12 rows is
+    # at most 545 KiB, held as text and as bytes while W and its index (2 MiB)
+    # are alive, so 768 KiB for the rest.  Measured: 3.71 MiB for the JSON and
+    # 2.66 MiB for walsh, 19.66 and 5.93 MiB when a block was 2^16 rows
     bound = tt.bits.nbytes + 3 * 4 * (1 << tt.n) + (768 << 10)
     assert peak <= bound, (peak, bound)
 
