@@ -616,12 +616,20 @@ def make_mm_bent(
 
 #: Table entries one block of tables holds.  ``verify --random`` and
 #: ``shuffle_search_bent`` run ``_tables_per_block(n)`` tables at a time, so
-#: their memory depends on n and not on how many tables they run.
-_BLOCK_ENTRIES = 1 << 18
+#: their memory depends on n and not on how many tables they run.  In
+#: ``verify`` each entry costs 1 B of table, 4 B of the literal sum's int32 W
+#: and 16 B for the ancilla route's two float64 halves; one butterfly worker,
+#: whose buffers ``_blocked_pass`` clamps to the block, adds 1.5 * 2^16
+#: float64 (768 KiB).  That is about 2.1 MiB a block, one core's L2 on a
+#: 2-core host (6.8 MiB at 2^18).
+_BLOCK_ENTRIES = 1 << 16
 
 
 def _tables_per_block(n: int) -> int:
-    """max(1, _BLOCK_ENTRIES / 2^n): the n-bit tables one block holds."""
+    """max(1, _BLOCK_ENTRIES / 2^n): the n-bit tables one block holds.
+
+    2^16 / 2^n tables up to n = 16 (256 at n = 8, 16 at n = 12), one above.
+    """
     return max(1, _BLOCK_ENTRIES >> n)
 
 

@@ -244,10 +244,10 @@ def shuffle_search_bent(
     whose Walsh spectrum is flat, or (None, max_iters) if none is found.
 
     Candidates are drawn and tested in blocks of ``boolfn._tables_per_block(n)``
-    tables (max(1, ``boolfn._BLOCK_ENTRIES`` / 2^n)), never past ``max_iters``,
-    in the order of successive ``rng.permutation`` calls, so the table and
-    count depend on the seed alone.  After a hit ``rng`` has advanced to the
-    end of that block.
+    tables (max(1, 2^16 / 2^n), ``boolfn._BLOCK_ENTRIES`` entries), never past
+    ``max_iters``, in the order of successive ``rng.permutation`` calls, so the
+    table and count depend on the seed alone, not on the block size.  After a
+    hit ``rng`` has advanced to the end of that block.
     """
     n = _check_even_arity(n)
     max_iters = _index(max_iters, "max_iters")

@@ -715,8 +715,9 @@ def test_pass_with_few_blocks_allocates_only_its_workers_buffers(monkeypatch, sh
 
 @pytest.mark.parametrize("m", range(2, 13))
 def test_butterfly_memory_on_verify_blocks_is_one_workers_buffers(m):
-    # a block of verify's 2^18 entries runs on one worker, whose scratch block
-    # and pair temporary hold every column block of both passes
+    # a block of verify's _BLOCK_ENTRIES entries runs on one worker, whose
+    # scratch block and pair temporary, clamped to the block, hold every column
+    # block of both passes
     block = np.random.default_rng(m).standard_normal((1 << m, _BLOCK_ENTRIES >> m))
     tracemalloc.start()
     try:
@@ -724,7 +725,8 @@ def test_butterfly_memory_on_verify_blocks_is_one_workers_buffers(m):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    per_worker = _SCRATCH + _SCRATCH // 2
+    scratch = min(_SCRATCH, _BLOCK_ENTRIES)
+    per_worker = scratch + scratch // 2
     assert peak <= per_worker * block.itemsize + (64 << 10)
 
 

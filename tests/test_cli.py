@@ -741,7 +741,9 @@ def test_verify_butterfly_skipping_level_1_in_one_block_is_a_route_fault(run, mo
 
 
 def test_verify_worker_dropping_its_first_block_is_a_route_fault(run, monkeypatch):
-    # the n = 12 blocks of 64 tables run threaded once 2^10 entries do
+    # blocks of 2^18 entries make the n = 12 block 64 tables, which the passes
+    # split into several column blocks; they run threaded once 2^10 entries do
+    monkeypatch.setattr(boolfn, "_BLOCK_ENTRIES", 1 << 18)
     monkeypatch.setattr(boolfn, "_THREAD_ENTRIES", 1 << 10)
     monkeypatch.setattr(boolfn, "_WORKERS", 3)
     _, hit = _fault_in_first_hadamard_block(
@@ -811,8 +813,23 @@ def test_verify_memory_depends_on_n_not_count(run):
         finally:
             tracemalloc.stop()
     # a block's routes hold megabytes; nothing of a finished block may stay
-    # behind, not even its 2^18-byte table block
-    assert peaks[1] - peaks[0] < 1 << 17, peaks
+    # behind, not even its uint8 table block of _BLOCK_ENTRIES bytes
+    assert peaks[1] - peaks[0] < boolfn._BLOCK_ENTRIES // 2, peaks
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 16])
+def test_verify_random_memory_is_one_block_at_every_n(run, n):
+    argv = ["verify", "--random", str(4 * boolfn._tables_per_block(n)), "--n", str(n)]
+    run(["verify", "--random", "1", "--n", str(n)])  # builds the cached factors
+    tracemalloc.start()
+    try:
+        assert run(argv)[0] == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block of 2^16 entries: its table, W, the ancilla halves and one
+    # worker's buffers (2.13 MiB measured at every n; 6.81 MiB with 2^18)
+    assert peak <= 2.25 * (1 << 20), peak
 
 
 # ---------------------------------------------------------------------------

@@ -263,14 +263,16 @@ def test_walsh_route_memory_is_its_scaled_spectrum():
 
 
 def test_verify_block_memory_is_the_table_w_the_ancilla_halves_and_one_workers_buffers():
-    # verify --random's n = 12 block of 64 tables: beside the uint8 tables, the
-    # literal sum's int32 W, the ancilla route's two float64 halves and one
-    # worker's buffers, with no float64 copy of the literal sum (6.51 MiB
-    # measured, 7.51 MiB with a float64 literal sum)
+    # verify --random's n = 12 block: beside the uint8 tables, the literal
+    # sum's int32 W, the ancilla route's two float64 halves and one worker's
+    # buffers, clamped to the block, with no float64 copy of the literal sum
+    # (2.01 MiB measured with 2^16-entry blocks)
     n, count = 12, boolfn._tables_per_block(12)
     bits = _random_columns(n, count, np.random.default_rng(12))
     peak = _route_peak(lambda bits: djsim._worst_deviation(n, 0, bits), bits)
-    assert peak <= bits.size * (1 + 4 + 2 * 8) + 8 * _WORKER + _SMALL, peak
+    scratch = min(_SCRATCH, boolfn._BLOCK_ENTRIES)
+    worker = scratch + scratch // 2
+    assert peak <= bits.size * (1 + 4 + 2 * 8) + 8 * worker + _SMALL, peak
 
 
 @given(truth_tables(max_n=8))
