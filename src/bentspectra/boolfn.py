@@ -364,9 +364,13 @@ class AnfPolynomial(_Frozen):
         arr = _frozen_array(coefficients, n, np.uint8, "coefficients")
         if arr.max(initial=0) > 1:
             raise ValueError("coefficients must be 0 or 1")
-        weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
-        weights *= arr  # each monomial's degree where its coefficient is 1
-        degree = int(weights.max())
+        # a monomial's degree is the popcount of its high index bits plus that of its
+        # low ones; per high half, top is 1 + the largest low popcount set, or 0
+        lo = n // 2
+        high, low = (np.bitwise_count(np.arange(1 << bits, dtype=np.uint16))
+                     for bits in (n - lo, lo))
+        top = (arr.reshape(-1, 1 << lo) * (low + 1)).max(axis=1)
+        degree = int((high + top)[top > 0].max(initial=1)) - 1
         self._set(n=n, coefficients=arr, degree=degree)
 
     def monomials(self) -> tuple[int, ...]:

@@ -27,7 +27,6 @@ above 24 are clamped).
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import re
@@ -81,25 +80,15 @@ def _check_arity(n: int, cap: int) -> int:
     return n
 
 
-def _read_input(args, raw: bool = False) -> tuple[str | bytes, str]:
-    """Text and name of the single input source: --tt, --in, or stdin.
-
-    With ``raw``, a file that is ASCII and holds no ``\\r`` is given as its
-    bytes, which are exactly its text; any other file is decoded as
-    ``Path.read_text`` decodes it.
-    """
+def _read_input(args) -> tuple[str, str]:
+    """Text and name of the single input source: --tt, --in, or stdin."""
     if args.tt is not None and args.infile:
         raise ValueError("give at most one of --tt and --in")
     if args.tt is not None:
         return args.tt, "inline"
     if not args.infile:
         return sys.stdin.read(), "stdin"
-    if not raw:
-        return Path(args.infile).read_text(), args.infile
-    data = Path(args.infile).read_bytes()
-    if data.isascii() and b"\r" not in data:
-        return data, args.infile
-    return io.TextIOWrapper(io.BytesIO(data)).read(), args.infile
+    return Path(args.infile).read_text(), args.infile
 
 
 def _read_table(args, cap: int) -> tuple[TruthTable, str]:
@@ -278,15 +267,12 @@ def _check_rows(cap: int, fmt: str, rows: int) -> None:
         spectra._check_bar_count(rows, fmt)
 
 
-def _plot_input(args, cap: int) -> str | bytes:
-    """The report text or bytes; a CSV report too large to draw is refused before it is read."""
-    data = _read_input(args, raw=True)[0]
-    # exact for a valid CSV report; a JSON one is read first.  A str pattern's \s
-    # also matches \x1c-\x1f, so the bytes pattern names them
-    raw = isinstance(data, bytes)
-    if not re.match(rb"[\s\x1c-\x1f]*\{" if raw else r"\s*\{", data):
-        _check_rows(cap, args.format, data.count(b"," if raw else ",") // 3 - 1)
-    return data
+def _plot_input(args, cap: int) -> str:
+    """The text of --tt, --in or stdin; a CSV report too large to draw is refused unparsed."""
+    text = _read_input(args)[0]
+    if not re.match(r"\s*\{", text):  # exact for a valid CSV report; a JSON one is read first
+        _check_rows(cap, args.format, text.count(",") // 3 - 1)
+    return text
 
 
 def _cmd_plot(args, cap: int) -> None:
@@ -299,8 +285,8 @@ def _cmd_plot(args, cap: int) -> None:
     if report is None:
         # any other input is read whole, as its text.  A file goes straight to the
         # strip path, which accepts an export too: a regular file here is none as it
-        # stands.  No caller name holds the input, so the reader can free it once
-        # it has a decoded or stripped copy
+        # stands.  No caller name holds the text, so the reader can free it once it
+        # has a stripped copy
         read = spectra._read_stripped if args.infile else spectra.read_report
         report = read(_plot_input(args, cap))
     _check_arity(report.n, cap)

@@ -341,8 +341,8 @@ def _canonical_csv(source, check=None) -> SpectrumReport | None:
     1. every piece must be ASCII with no ``\\r``, and its commas are counted;
        when they are three a row for 2^k rows, k >= 1, ``check``, if given,
        is called with the row count before any W is held, and may raise;
-    2. the walsh field of each row is parsed, digit by digit, into one int32
-       W (``_walsh_fields``);
+    2. the input must end in ``\\n``, and the walsh field of each row is
+       parsed, digit by digit, into one int32 W (``_walsh_fields``);
     3. the report is rebuilt from W, and each block of its export must be the
        next bytes of the input, and the last block its end.
 
@@ -374,6 +374,9 @@ def _canonical_csv(source, check=None) -> SpectrumReport | None:
         return None
     if check is not None:
         check(rows)
+    source.seek(size - 1)
+    if source.read(1) != b"\n":  # an export ends its last row; W is not parsed for less
+        return None
     source.seek(len(head))
     w = _walsh_fields(source, rows)
     if w is None:

@@ -738,10 +738,10 @@ def test_to_anf_memory_is_its_coefficients_and_the_degree_scan():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the uint8 coefficients, kept by the polynomial, then the degree's uint32
-    # monomial masks and their uint8 weights; the butterfly's buffers are
-    # freed before these
-    assert peak <= (1 + 4 + 1) * (1 << 18) + (64 << 10), peak
+    # the uint8 coefficients, kept by the polynomial, and the degree's uint8
+    # coefficients times their low popcounts; the half-width popcounts are
+    # small, and the butterfly's buffers are freed before these
+    assert peak <= (1 + 1) * (1 << 18) + (64 << 10), peak
 
 
 def test_butterfly_refuses_non_contiguous_arrays():

@@ -425,6 +425,26 @@ def test_plot_refuses_an_over_cap_export_holding_one_piece(run, monkeypatch, tmp
     assert peak <= bound, (peak, bound)
 
 
+def test_plot_memory_refusing_an_over_cap_export_without_its_final_newline_is_one_piece(
+        run, monkeypatch, tmp_path):
+    path = tmp_path / "r.csv"
+    _export_file(path, 14)
+    path.write_bytes(path.read_bytes()[:-1])  # as ``--tt "$(cat r.csv)"`` gives it
+    monkeypatch.setenv("BENTSPECTRA_MAX_N", "10")
+    argv = ["plot", "--in", str(path), "--format", "svg"]
+    run(argv)  # warm
+    tracemalloc.start()
+    try:
+        outcome = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the caps meet the row count before the missing newline sends the file on
+    assert outcome == (2, "", "error: n = 14 is outside the configured cap [1, 10]\n")
+    bound = spectra._SCAN_BYTES + (256 << 10)
+    assert peak <= bound, (peak, bound)
+
+
 def test_plot_in_reads_an_export_edited_or_cut_at_a_piece_seam_as_its_text(run, monkeypatch,
                                                                           tmp_path):
     path = tmp_path / "r.csv"

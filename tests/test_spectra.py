@@ -988,3 +988,20 @@ def test_canonical_csv_compares_the_export_block_by_block(monkeypatch):
     assert spectra._canonical_csv(text[:-1]) is None
     assert spectra._canonical_csv(text.encode()[:-1]) is None
     assert spectra._canonical_csv(text) == report == spectra._canonical_csv(text.encode())
+
+
+def test_canonical_csv_refuses_an_export_without_its_final_newline_before_parsing_w(tmp_path,
+                                                                                   monkeypatch):
+    def walsh_fields(source, rows):
+        raise AssertionError("the walsh column was parsed")
+
+    text = export_csv(make_report(random_function(10, np.random.default_rng(10))))
+    path = tmp_path / "r.csv"
+    path.write_text(text[:-1])
+    monkeypatch.setattr(spectra, "_walsh_fields", walsh_fields)
+    assert spectra._canonical_csv(text[:-1]) is None
+    assert spectra._canonical_csv(text.encode()[:-1]) is None
+    with path.open("rb") as fh:
+        assert spectra._canonical_csv(fh) is None
+    with pytest.raises(AssertionError, match="walsh column"):  # the export itself is parsed
+        spectra._canonical_csv(text)

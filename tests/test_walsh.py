@@ -26,7 +26,7 @@ from bentspectra import (
     walsh_naive,
 )
 from bentspectra import cli, djsim, walsh
-from bentspectra.boolfn import _SCRATCH, MAX_ARITY, _random_columns
+from bentspectra.boolfn import _BLOCK_ENTRIES, _SCRATCH, MAX_ARITY, _random_columns
 from bentspectra.walsh import _character_matrix, _classify_columns, _fwht_columns, _naive_columns
 
 #: Largest n at which the full-matrix ``reference_naive_columns`` runs; its
@@ -548,7 +548,7 @@ def test_is_bent_helper():
 # Shuffle search
 # ---------------------------------------------------------------------------
 
-SHUFFLE_BLOCK_N6 = (1 << 18) >> 6
+SHUFFLE_BLOCK_N6 = _BLOCK_ENTRIES >> 6
 
 
 def test_shuffle_search_matches_reference():
