@@ -453,6 +453,8 @@ def _blocked_pass(view: np.ndarray, pair: Callable[..., None]) -> None:
     Each worker copies a block into its own scratch block, runs all its levels
     there with a pair temporary of half that size, and copies it back.  The
     caller allocates both, so that no thread's malloc arena keeps their pages.
+    A block that is the whole C-contiguous view runs in place, and its pass
+    allocates only the pair temporary: the copy would be the view as it is.
 
     A block's shortest contiguous run is chunk * B entries, at level 1.  Each
     worker runs its blocks with numpy's ufunc buffer cut to that run, rounded
@@ -469,19 +471,23 @@ def _blocked_pass(view: np.ndarray, pair: Callable[..., None]) -> None:
     starts = range(0, cols, chunk)
     workers = min(_WORKERS if view.size >= _THREAD_ENTRIES else 1, len(starts))
     bufsize = max(16, min(np.getbufsize(), chunk * width) // 16 * 16)
+    size = chunk * rows * width
+    copied = not view[:, :chunk].flags.c_contiguous  # else the one block is the whole view
 
     def run(share, block, t):
         with np.errstate():
             np.setbufsize(bufsize)
             for lo in share:
                 part = view[:, lo : lo + chunk]
+                if not copied:
+                    _levels(part.reshape(rows, -1), pair, t)
+                    continue
                 work = block[: part.size].reshape(part.shape)
                 work[...] = part
                 _levels(work.reshape(rows, -1), pair, t)
                 part[...] = work
 
-    size = chunk * rows * width
-    _in_threads(run, [(share, np.empty(size, view.dtype), np.empty(size // 2, view.dtype))
+    _in_threads(run, [(share, np.empty(size * copied, view.dtype), np.empty(size // 2, view.dtype))
                       for share in np.array_split(starts, workers)])
 
 

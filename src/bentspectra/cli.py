@@ -31,7 +31,7 @@ import json
 import os
 import re
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -369,12 +369,13 @@ _COMMANDS = {
     "verify": _cmd_verify,
     "paper": _cmd_paper,
 }
+_parser = cache(build_parser)  # the one parser of the process, built by the first main call
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command; the parser, built by the first call, serves every later one."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
@@ -384,7 +385,8 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # an OSError, so it is caught first
         # the reader closed stdout early: print nothing, not even at exit, and
         # exit as a shell reports a process killed by SIGPIPE
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 141
     except (ValueError, OSError, djsim.RouteFault) as exc:
         print(f"error: {exc}", file=sys.stderr)

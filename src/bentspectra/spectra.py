@@ -367,7 +367,10 @@ def _canonical_csv(source, check=None) -> SpectrumReport | None:
             del piece[got:]
         if not piece.isascii() or b"\r" in piece:
             return None
-        commas += piece.count(b",")
+        view = np.frombuffer(piece, np.uint8)  # counted 32 KiB at a time: small bool temporaries
+        for at in range(0, got, 1 << 15):
+            commas += int(np.count_nonzero(view[at:at + (1 << 15)] == ord(",")))
+        del view  # it exports the piece, which then could not be resized
     del piece
     rows, extra = divmod(commas, 3)
     if extra or rows < 2 or rows & (rows - 1):

@@ -730,6 +730,27 @@ def test_butterfly_memory_on_verify_blocks_is_one_workers_buffers(m):
     assert peak <= per_worker * block.itemsize + (64 << 10)
 
 
+@pytest.mark.parametrize("m", [4, 8, 12, 16])
+def test_one_block_pass_runs_in_place_memory_is_its_pair_temporary(m):
+    # verify's high pass: the (2^m / G, G, B) slice fits one block, which is the
+    # C-contiguous view itself, so no scratch copy of it is made
+    group = 1 << m // 2
+    block = np.random.default_rng(m).standard_normal((1 << m, _BLOCK_ENTRIES >> m))
+    view = block.reshape(-1, group, block.shape[1])
+    # the same entries in a strided array take the copying path
+    strided = np.empty((*view.shape[:2], 2 * view.shape[2]))[:, :, ::2]
+    strided[...] = view
+    boolfn._blocked_pass(strided, _hadamard_pair)
+    tracemalloc.start()
+    try:
+        boolfn._blocked_pass(view, _hadamard_pair)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= view.size // 2 * view.itemsize + (64 << 10), peak
+    assert np.array_equal(view.view("u8"), strided.view("u8"))
+
+
 def test_to_anf_memory_is_its_coefficients_and_the_degree_scan():
     tt = random_function(18, np.random.default_rng(18))
     tracemalloc.start()

@@ -940,6 +940,53 @@ def test_closed_output_pipe_exits_141_quietly(tmp_path, command, lines):
     assert proc.returncode == 141 and err == b""
 
 
+_CLOSED_PIPE_CALLS = """
+import os, sys
+from bentspectra.cli import main
+counts = []
+for _ in range(3):
+    read, write = os.pipe()
+    os.close(read)
+    os.dup2(write, sys.stdout.fileno())
+    os.close(write)
+    assert main(["gen", "--kind", "constant", "--n", "2"]) == 141
+    counts.append(len(os.listdir("/proc/self/fd")))
+print(counts, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_output_pipe_leaves_no_descriptor_open():
+    # each call's stdout is a pipe whose reader has gone; main puts devnull in
+    # its place, and the descriptor it opened for that must be closed again
+    proc = subprocess.run([sys.executable, "-c", _CLOSED_PIPE_CALLS],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stderr)
+    assert len(counts) == 3 and len(set(counts)) == 1, counts
+
+
+def test_second_main_call_builds_no_parser(run, monkeypatch):
+    assert run(["gen", "--kind", "constant", "--n", "2"])[0] == 0
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    assert run(["gen", "--kind", "constant", "--n", "2", "--c", "1"]) == (0, "1111\n", "")
+    assert run(["gen", "--kind", "nope", "--n", "2"])[0] == 1
+    assert built == []
+    cli.build_parser()  # the count sees a build: the parser and its eight commands
+    assert len(built) == 9
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    assert cli.build_parser() is not cli.build_parser()
+
+
 @pytest.mark.parametrize("title", ["k9", "é"])
 def test_svg_plot_is_ascii_under_the_c_locale(run, tmp_path, title):
     report = tmp_path / "report.csv"
