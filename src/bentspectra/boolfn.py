@@ -193,12 +193,8 @@ def _check_bits(bits: np.ndarray) -> None:
 
 
 def _signs(bits: np.ndarray, dtype: type, v: float = 1) -> np.ndarray:
-    """(-1)^bits * v as a new C-contiguous ``dtype`` array."""
-    return _signs_into(np.empty(bits.shape, dtype), bits, v)
-
-
-def _signs_into(out: np.ndarray, bits: np.ndarray, v: float = 1) -> np.ndarray:
-    """Write (-1)^bits * v into ``out`` and return it; -2v + v is -v exactly."""
+    """(-1)^bits * v as a new C-contiguous ``dtype`` array; -2v + v is -v exactly."""
+    out = np.empty(bits.shape, dtype)
     out[...] = bits
     out *= -2 * v
     out += v

@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from functools import cache, partial
 from pathlib import Path
@@ -82,13 +81,14 @@ def _check_arity(n: int, cap: int) -> int:
 
 def _read_input(args) -> tuple[str, str]:
     """Text and name of the single input source: --tt, --in, or stdin."""
-    if args.tt is not None and args.infile:
+    if args.tt is not None and args.infile is not None:
         raise ValueError("give at most one of --tt and --in")
     if args.tt is not None:
         return args.tt, "inline"
-    if not args.infile:
+    if args.infile is None:
         return sys.stdin.read(), "stdin"
-    return Path(args.infile).read_text(), args.infile
+    with open(args.infile) as fh:  # not Path: Path('') is '.'
+        return fh.read(), args.infile
 
 
 def _read_table(args, cap: int) -> tuple[TruthTable, str]:
@@ -100,7 +100,7 @@ def _read_table(args, cap: int) -> tuple[TruthTable, str]:
 
 def _write(blocks, out: str | Path | None) -> None:
     """Write the blocks of a text as they come, to ``out`` or stdout."""
-    if out:
+    if out is not None:
         with open(out, "w") as fh:
             fh.writelines(blocks)
     else:
@@ -244,20 +244,16 @@ def _bars(report: spectra.SpectrumReport, column: str, fmt: str,
           title: str | None = None):
     """Text blocks of the bars of one report column, titled ``"{generator}: {column}"`` by default.
 
-    The SVG is keyed by the int32 W: each distinct W's column value is
+    The bars are keyed by the int32 W: each distinct W's column value is
     computed as the report computes it (W, W / 2^n or its square), so no
     float column of 2^n entries is built.
     """
     if title is None:
         title = f"{report.generator}: {column}" if report.generator else column
-    if fmt == "svg":
-        scale = float(1 << report.n)
-        value = {"walsh": float, "amplitude": lambda w: w / scale,
-                 "probability": lambda w: (w / scale) * (w / scale)}[column]
-        return spectra._svg_blocks(report.walsh, title, value)
-    values = getattr(report, {"walsh": "walsh", "amplitude": "amplitudes",
-                              "probability": "probabilities"}[column])
-    return spectra._bar_blocks(values, title, fmt)
+    scale = float(1 << report.n)
+    value = {"walsh": float, "amplitude": lambda w: w / scale,
+             "probability": lambda w: (w / scale) * (w / scale)}[column]
+    return spectra._bar_blocks(report.walsh, title, fmt, value)
 
 
 def _check_rows(cap: int, fmt: str, rows: int) -> None:
@@ -267,35 +263,17 @@ def _check_rows(cap: int, fmt: str, rows: int) -> None:
         spectra._check_bar_count(rows, fmt)
 
 
-def _plot_input(args, cap: int) -> str:
-    """The text of --tt, --in or stdin; a CSV report too large to draw is refused unparsed."""
-    text = _read_input(args)[0]
-    if not re.match(r"\s*\{", text):  # exact for a valid CSV report; a JSON one is read first
-        _check_rows(cap, args.format, text.count(",") // 3 - 1)
-    return text
-
-
 def _cmd_plot(args, cap: int) -> None:
-    report = None
-    if args.infile and args.tt is None and Path(args.infile).is_file():
-        # an export is read from the file in pieces, and its row count meets the
-        # caps before any of it is held
-        with open(args.infile, "rb") as fh:
-            report = spectra._canonical_csv(fh, partial(_check_rows, cap, args.format))
-    if report is None:
-        # any other input is read whole, as its text.  A file goes straight to the
-        # strip path, which accepts an export too: a regular file here is none as it
-        # stands.  No caller name holds the text, so the reader can free it once it
-        # has a stripped copy
-        read = spectra._read_stripped if args.infile else spectra.read_report
-        report = read(_plot_input(args, cap))
+    # a file is handed to the reader by its path, so an export is read in pieces
+    source = Path(args.infile) if args.infile and args.tt is None else _read_input(args)[0]
+    report = spectra._read_source(source, partial(_check_rows, cap, args.format))
     _check_arity(report.n, cap)
     _write(_bars(report, args.column, args.format, args.title), args.out)
 
 
 def _cmd_verify(args, cap: int) -> None:
     if args.random is not None:
-        if args.tt is not None or args.infile:
+        if args.tt is not None or args.infile is not None:
             raise ValueError("give at most one of --random, --tt and --in")
         if args.random < 1:
             raise ValueError(f"--random needs a positive count, got {args.random}")

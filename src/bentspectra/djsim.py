@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .boolfn import (MAX_ARITY, TruthTable, _butterfly, _check_arity, _check_bits, _Fresh,
-                     _Frozen, _frozen_array, _index, _short_repr, _signs_into)
+                     _Frozen, _frozen_array, _index, _short_repr, _signs)
 from .walsh import WalshSpectrum, _check_spectra, _fwht_columns, _naive_columns, _square_sums
 
 #: Statevector caps, every arity a table can have: one float64 buffer of 2^n
@@ -137,8 +137,8 @@ def _hadamard_pair(x: np.ndarray, y: np.ndarray, t: np.ndarray | None = None) ->
     np.multiply(t, _SQRT1_2, out=y)
 
 
-def _signed_layer(levels: int, bits: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write (-1)^f(x) times the constant entry v of H^levels on a basis state into ``out``.
+def _signed_layer(levels: int, bits: np.ndarray) -> np.ndarray:
+    """(-1)^f(x) times the constant entry v of H^levels on a basis state, as a new float64 array.
 
     The butterfly maps a constant entry v to (v + 0) * S and (v - 0) * S at
     each level, so v is the running product of ``levels`` factors S = 1/sqrt(2),
@@ -147,11 +147,11 @@ def _signed_layer(levels: int, bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     v = 1.0
     for _ in range(levels):
         v *= _SQRT1_2
-    return _signs_into(out, bits, v)
+    return _signs(bits, np.float64, v)
 
 
 def _circuit_columns(n: int, bits: np.ndarray) -> np.ndarray:
-    state = _signed_layer(n, bits, np.empty(bits.shape))
+    state = _signed_layer(n, bits)
     _butterfly(state, _hadamard_pair)
     return state
 
@@ -178,7 +178,7 @@ def _ancilla_columns(n: int, bits: np.ndarray) -> np.ndarray:
     and the high half is freed, so the result holds its own 2^n entries per
     table and no view keeps 2^(n+1) alive.
     """
-    low = _signed_layer(n + 1, bits, np.empty(bits.shape))
+    low = _signed_layer(n + 1, bits)
     high = np.negative(low)
     _butterfly(low, _hadamard_pair)  # H on qubits 0..n-1 under each ancilla value
     _butterfly(high, _hadamard_pair)

@@ -21,8 +21,9 @@ text.  The CSV reader takes the file's text, its bytes or the open file,
 reads it in pieces, rebuilds the report from the W column alone and accepts
 the file when the report's export, compared block by block, is those bytes;
 only a file that differs from it is decoded, if need be, and parsed field by
-field.  The SVG bars of a report are keyed by W, so a bar's height is
-formatted once per distinct W, from W.  All
+field.  ``_read_source`` reads any report source (text, bytes or a file
+path) and meets a caller's caps with a CSV's row count before it parses a
+row.  Bars are keyed by W, so a bar's height is computed from W.  All
 exporters are deterministic, and floating-point columns are printed with up
 to 17 significant digits, enough to round-trip float64 losslessly.
 """
@@ -413,11 +414,27 @@ def read_report(text: str | bytes) -> SpectrumReport:
     Malformed input, deep JSON nesting and bytes that are not UTF-8 included,
     or self-contradicting input raises ``ValueError``.
     """
-    report = _canonical_csv(text)
-    return report if report is not None else _read_stripped(text)
+    return _read_source(text)
 
 
-def _read_stripped(text: str | bytes) -> SpectrumReport:
+def _read_source(source, check=None) -> SpectrumReport:
+    """``read_report`` of text, bytes or a file ``Path``; ``check(rows)`` may refuse a CSV unparsed.
+
+    A regular file is read in pieces; any other file, or one that is not an
+    export as it stands, goes to ``_read_stripped`` as its text, which no
+    name holds, so the stripped read can free it.
+    """
+    if isinstance(source, (str, bytes)):
+        report = _canonical_csv(source, check)
+        return report if report is not None else _read_stripped(source, check)
+    report = None
+    if source.is_file():
+        with source.open("rb") as fh:
+            report = _canonical_csv(fh, check)
+    return report if report is not None else _read_stripped(source.read_text(), check)
+
+
+def _read_stripped(text: str | bytes, check=None) -> SpectrumReport:
     """``read_report`` of an input that is not an export as given: decoded, if bytes, and stripped."""
     if isinstance(text, bytes):
         text = text.decode()
@@ -426,6 +443,8 @@ def _read_stripped(text: str | bytes) -> SpectrumReport:
         raise ValueError("empty report")
     if text.startswith("{"):
         return _read_json(_load_json(text, "report"))
+    if check is not None:
+        check(text.count(",") // 3 - 1)  # exact for a valid CSV report
     report = _canonical_csv(text + "\n")
     return report if report is not None else _read_csv(text.splitlines())
 
@@ -479,11 +498,6 @@ def render_bars(values: Sequence[float] | np.ndarray, title: str = "",
     so the SVG is ASCII whatever the locale.  An all-zero input renders
     zero-height / zero-width bars; NaN and infinities raise ``ValueError``.
     """
-    return "".join(_bar_blocks(values, title, format))
-
-
-def _bar_blocks(values, title: str, format: str):
-    """``render_bars``'s text in blocks; every check runs before the first block."""
     if not isinstance(title, str):
         raise ValueError(f"render_bars title must be a string, got {_short_repr(title)}")
     vals = np.asarray(values, dtype=np.float64)
@@ -491,10 +505,19 @@ def _bar_blocks(values, title: str, format: str):
         raise ValueError("render_bars needs a non-empty 1-d value sequence")
     if not np.isfinite(vals).all():
         raise ValueError("render_bars needs finite values")
+    return "".join(_bar_blocks(vals, title, format))
+
+
+def _bar_blocks(keys: np.ndarray, title: str, format: str, value=float):
+    """Blocks of one bar per key, |value(key)| high: ``cli`` keys a report's bars by its int32 W.
+
+    ``value`` runs on a key's Python scalar and grows with |key|, so the
+    smallest or largest key gives the tallest bar.
+    """
     if format == "ascii":
-        return [_render_ascii(vals, title)]
+        return [_render_ascii(keys, title, value)]
     if format == "svg":
-        return _svg_blocks(vals, title)
+        return _svg_blocks(keys, title, value)
     raise ValueError(f"unknown render format: {format!r}")
 
 
@@ -505,13 +528,18 @@ def _check_bar_count(count: int, format: str) -> None:
         raise ValueError(f"{format} rendering is capped at {cap} bars")
 
 
-def _render_ascii(vals: np.ndarray, title: str) -> str:
-    _check_bar_count(vals.size, "ascii")
-    peak = float(np.abs(vals).max())
+def _peak(keys: np.ndarray, value) -> float:
+    return max(abs(value(keys.min().item())), abs(value(keys.max().item())))
+
+
+def _render_ascii(keys: np.ndarray, title: str, value=float) -> str:
+    _check_bar_count(keys.size, "ascii")
+    peak = _peak(keys, value)
     lines = [title] if title else []
-    for i, v in enumerate(vals):
-        w = 0 if peak == 0.0 else int(round(_BAR_WIDTH * abs(float(v)) / peak))
-        lines.append(f"{i:>5} {float(v):>12.6g} |{'#' * w}")
+    for i, key in enumerate(keys.tolist()):
+        v = value(key)
+        w = 0 if peak == 0.0 else int(round(_BAR_WIDTH * abs(v) / peak))
+        lines.append(f"{i:>5} {v:>12.6g} |{'#' * w}")
     return "\n".join(lines) + "\n"
 
 
@@ -554,22 +582,14 @@ def _x_columns(left: float, slot: float, offset: float,
 
 
 def _svg_blocks(keys: np.ndarray, title: str, value=float):
-    """The SVG of one bar per key: bar i is |value(keys[i])| high, scaled by the largest.
-
-    ``value`` runs once per distinct key, in the tail of its rows, so bars
-    can be keyed by an integer column: ``cli`` keys a report's bars by its
-    int32 W and computes each column value from W, and the rows then go
-    through ``_distinct``'s presence table, with no float column and no
-    sort.  ``render_bars`` keys the bars by their own float values.
-    """
+    """The SVG of ``_bar_blocks``; ``value`` runs once per distinct key, in its rows' tail."""
     _check_bar_count(keys.size, "svg")
     width, height = 800.0, 360.0
     left, right, top, bottom = 40.0, 10.0, 30.0, 20.0
     plot_w = width - left - right
     plot_h = height - top - bottom
     base_y = top + plot_h
-    # value(|key|) grows with |key|, so the largest bar has the smallest or largest key
-    peak = max(abs(value(keys.min().item())), abs(value(keys.max().item())))
+    peak = _peak(keys, value)
     slot = plot_w / keys.size
     bar_w = slot * 0.9
     offset = (slot - bar_w) / 2

@@ -277,6 +277,25 @@ def test_directory_input_exit_2(run, tmp_path):
     _assert_file_error(run(["sample", "--in", str(tmp_path)]))
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["walsh", "--in", ""], "[Errno 2] No such file or directory: ''"),
+    (["dj", "--in", "", "--format", "json"], "[Errno 2] No such file or directory: ''"),
+    (["plot", "--in", ""], "[Errno 2] No such file or directory: ''"),
+    (["gen", "--kind", "constant", "--n", "2", "--out", ""],
+     "[Errno 2] No such file or directory: ''"),
+    (["dj", "--tt", "0110", "--out", ""], "[Errno 2] No such file or directory: ''"),
+    (["verify", "--random", "1", "--n", "2", "--in", ""],
+     "give at most one of --random, --tt and --in"),
+])
+def test_an_empty_file_name_is_given_not_stdin_or_stdout(run, monkeypatch, tmp_path, argv,
+                                                          message):
+    monkeypatch.chdir(tmp_path)
+    report = run(["dj", "--tt", "0110"])[1]  # a stdin that every reading command accepts
+    stdin = report if "plot" in argv else "0110\n"
+    assert run(argv, stdin=stdin) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_paper_out_existing_file_exit_2(run, tmp_path):
     target = tmp_path / "taken"
     target.write_text("")
@@ -298,10 +317,11 @@ def test_plot_ascii_from_dj_csv(run):
 
 
 def _refuse_to_read(monkeypatch):
-    def read_report(text):
-        raise AssertionError("plot read the whole report")
+    def parse(*args):
+        raise AssertionError("plot parsed the rows of an over-cap report")
 
-    monkeypatch.setattr(spectra, "read_report", read_report)
+    for name in ("_walsh_fields", "_read_csv", "_read_json"):
+        monkeypatch.setattr(spectra, name, parse)
 
 
 def test_plot_refuses_an_over_cap_csv_before_reading_it(run, monkeypatch, tmp_path):
@@ -309,6 +329,9 @@ def test_plot_refuses_an_over_cap_csv_before_reading_it(run, monkeypatch, tmp_pa
     assert run(["dj", "--tt", "01" * 256, "--out", str(report)])[0] == 0
     _refuse_to_read(monkeypatch)
     code, out, err = run(["plot", "--in", str(report)])
+    assert (code, out, err) == (2, "", "error: ascii rendering is capped at 256 bars\n")
+    # not an export as it stands, so the stripped text's commas meet the caps
+    code, out, err = run(["plot"], stdin=report.read_text().replace("\n", "\r\n"))
     assert (code, out, err) == (2, "", "error: ascii rendering is capped at 256 bars\n")
     rows = "p,walsh,amplitude,probability\n" + "0,0,0,0\n" * (1 << 21)  # invalid, too
     code, out, err = run(["plot", "--format", "svg"], stdin=rows)
@@ -474,13 +497,35 @@ def test_plot_in_reads_an_export_edited_or_cut_at_a_piece_seam_as_its_text(run, 
 
 def test_plot_reads_a_json_or_within_cap_report_in_full(run, monkeypatch):
     reads = []
-    monkeypatch.setattr(spectra, "read_report", lambda text: reads.append(text) or report)
-    report = spectra.make_report(TruthTable(9, [0] * 512))
+    for name in ("_walsh_fields", "_read_json"):
+        monkeypatch.setattr(spectra, name, lambda *args, name=name, parse=getattr(spectra, name):
+                            reads.append(name) or parse(*args))
     _, csv, _ = run(["dj", "--tt", "0" * 512])
     _, json_text, _ = run(["dj", "--tt", "0" * 512, "--format", "json"])
     assert run(["plot", "--format", "svg", "--tt", csv])[0] == 0
-    assert run(["plot", "--tt", json_text])[0] == 2
-    assert reads == [csv, json_text]
+    assert run(["plot", "--tt", json_text]) == (
+        2, "", "error: ascii rendering is capped at 256 bars\n")
+    assert reads == ["_walsh_fields", "_read_json"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_plot_in_reads_a_fifo_as_its_text(run, tmp_path):
+    small, big, fifo = tmp_path / "small.csv", tmp_path / "big.csv", tmp_path / "fifo"
+    assert run(["dj", "--tt", "0001000100011110", "--out", str(small)])[0] == 0
+    assert run(["dj", "--tt", "01" * 256, "--out", str(big)])[0] == 0
+    os.mkfifo(fifo)
+    texts = {"export": small.read_text(), "crlf": small.read_text().replace("\n", "\r\n"),
+             "over-cap": big.read_text()}
+    outcomes = {}
+    for name, text in texts.items():
+        writer = threading.Thread(target=fifo.write_bytes, args=(text.encode(),), daemon=True)
+        writer.start()
+        outcomes[name] = run(["plot", "--in", str(fifo)])
+        writer.join(timeout=60)
+        assert not writer.is_alive(), name
+        assert outcomes[name] == run(["plot", "--tt", text]), name
+    assert outcomes["export"] == outcomes["crlf"] and outcomes["export"][0] == 0
+    assert outcomes["over-cap"] == (2, "", "error: ascii rendering is capped at 256 bars\n")
 
 
 def test_plot_svg_from_dj_json(run):
