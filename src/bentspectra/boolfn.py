@@ -350,7 +350,8 @@ class AnfPolynomial(_Frozen):
 
     ``coefficients[m]`` is the coefficient of the monomial prod_{j: m_j=1} x_j,
     so coefficient index 0 is the constant term and index 2^n - 1 the full
-    product x_0 x_1 ... x_{n-1}.
+    product x_0 x_1 ... x_{n-1}.  ``degree`` is read off the coefficients
+    packed 64 to a word (``_words``).
     """
 
     __slots__ = ("n", "coefficients", "degree")
@@ -360,12 +361,13 @@ class AnfPolynomial(_Frozen):
         arr = _frozen_array(coefficients, n, np.uint8, "coefficients")
         if arr.max(initial=0) > 1:
             raise ValueError("coefficients must be 0 or 1")
-        # a monomial's degree is the popcount of its high index bits plus that of its
-        # low ones; per high half, top is 1 + the largest low popcount set, or 0
-        lo = n // 2
-        high, low = (np.bitwise_count(np.arange(1 << bits, dtype=np.uint16))
-                     for bits in (n - lo, lo))
-        top = (arr.reshape(-1, 1 << lo) * (low + 1)).max(axis=1)
+        # monomial 64j + i has degree popcount(j) + popcount(i); per word j, top is
+        # 1 + the largest popcount(i) over its set bits i, or 0
+        words = _words(arr)
+        top = np.zeros(words.size, np.uint8)
+        for c, mask in enumerate(_POPCOUNT_MASKS):  # ascending, so the last class set wins
+            np.copyto(top, c + 1, where=(words & mask) != 0)
+        high = np.bitwise_count(np.arange(words.size, dtype=np.uint32))
         degree = int((high + top)[top > 0].max(initial=1)) - 1
         self._set(n=n, coefficients=arr, degree=degree)
 
@@ -518,18 +520,45 @@ def _xor_pair(x: np.ndarray, y: np.ndarray, t: np.ndarray | None = None) -> None
     y ^= x
 
 
+#: (h, the bits i of a word whose bit h is clear) for the levels h < 64.
+_LEVEL_MASKS = [(h, np.uint64(sum(1 << i for i in range(64) if not i & h)))
+                for h in (1, 2, 4, 8, 16, 32)]
+#: ``_POPCOUNT_MASKS[c]`` holds the bits i of a word with popcount(i) = c.
+_POPCOUNT_MASKS = [np.uint64(sum(1 << i for i in range(64) if i.bit_count() == c))
+                   for c in range(7)]
+
+
+def _words(bits: np.ndarray) -> np.ndarray:
+    """0/1 entries packed 64 to a little-endian word: entry x is bit x % 64 of word x // 64."""
+    words = np.zeros(-(-bits.size // 64), "<u8")  # below n = 6 one word, its high bits 0
+    words.view(np.uint8)[: -(-bits.size // 8)] = np.packbits(bits, bitorder="little")
+    return words
+
+
+def _moebius(bits: np.ndarray) -> np.ndarray:
+    """Moebius transform of 2^n 0/1 entries as new uint8 entries; it is its own inverse.
+
+    Level h XORs entry x into entry x + h for each x with bit h clear.  On the
+    ``_words`` of the entries the levels h < 64 shift and mask within each
+    word, and the rest are the XOR butterfly over the 2^(n-6) words (Arndt,
+    *Matters Computational*, ch. 1).  Below n = 6 the high levels fill only
+    the padding bits, which are dropped.
+    """
+    words = _words(bits)
+    for h, mask in _LEVEL_MASKS:
+        words ^= (words & mask) << h
+    _butterfly(words[:, None], _xor_pair)
+    return np.unpackbits(words.view(np.uint8), count=bits.size, bitorder="little")
+
+
 def to_anf(tt: TruthTable) -> AnfPolynomial:
-    """Algebraic normal form of a truth table (Moebius transform)."""
-    a = tt.bits.copy()
-    _butterfly(a[:, None], _xor_pair)  # XOR butterfly, its own inverse
-    return AnfPolynomial(tt.n, _Fresh(a))
+    """Algebraic normal form of a truth table (Moebius transform, on packed words)."""
+    return AnfPolynomial(tt.n, _Fresh(_moebius(tt.bits)))
 
 
 def from_anf(a: AnfPolynomial) -> TruthTable:
-    """Truth table of an ANF polynomial (inverse Moebius transform)."""
-    bits = a.coefficients.copy()
-    _butterfly(bits[:, None], _xor_pair)
-    return TruthTable(a.n, _Fresh(bits))
+    """Truth table of an ANF polynomial (inverse Moebius transform, on packed words)."""
+    return TruthTable(a.n, _Fresh(_moebius(a.coefficients)))
 
 
 # ---------------------------------------------------------------------------

@@ -264,9 +264,13 @@ def _check_rows(cap: int, fmt: str, rows: int) -> None:
 
 
 def _cmd_plot(args, cap: int) -> None:
-    # a file is handed to the reader by its path, so an export is read in pieces
-    source = Path(args.infile) if args.infile and args.tt is None else _read_input(args)[0]
-    report = spectra._read_source(source, partial(_check_rows, cap, args.format))
+    check = partial(_check_rows, cap, args.format)
+    if args.infile and args.tt is None:
+        # the open file goes to the reader, so an export is read in pieces
+        with open(args.infile, "rb") as fh:  # not Path: Path('./x') is 'x'
+            report = spectra._read_source(fh, check)
+    else:
+        report = spectra._read_source(_read_input(args)[0], check)
     _check_arity(report.n, cap)
     _write(_bars(report, args.column, args.format, args.title), args.out)
 

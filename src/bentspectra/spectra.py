@@ -21,11 +21,11 @@ text.  The CSV reader takes the file's text, its bytes or the open file,
 reads it in pieces, rebuilds the report from the W column alone and accepts
 the file when the report's export, compared block by block, is those bytes;
 only a file that differs from it is decoded, if need be, and parsed field by
-field.  ``_read_source`` reads any report source (text, bytes or a file
-path) and meets a caller's caps with a CSV's row count before it parses a
-row.  Bars are keyed by W, so a bar's height is computed from W.  All
-exporters are deterministic, and floating-point columns are printed with up
-to 17 significant digits, enough to round-trip float64 losslessly.
+field.  ``_read_source`` reads any report source (text, bytes or an open
+binary file) and meets a caller's caps with a CSV's row count before it
+parses a row.  Bars are keyed by W, so a bar's height is computed from W.
+All exporters are deterministic, and floating-point columns are printed with
+up to 17 significant digits, enough to round-trip float64 losslessly.
 """
 
 from __future__ import annotations
@@ -335,11 +335,12 @@ def _walsh_fields(source, rows: int) -> np.ndarray | None:
 def _canonical_csv(source, check=None) -> SpectrumReport | None:
     """The report whose ``export_csv`` is exactly ``source``; None for any other input.
 
-    ``source`` is text, its bytes or a seekable binary file, read from its
-    start in pieces of ``_SCAN_BYTES``, so the reader holds W and a few
-    pieces, not the input:
+    ``source`` is text, its bytes or a seekable binary file.  Bytes and files
+    are read from their start in pieces of ``_SCAN_BYTES``, so the reader
+    holds W and a few pieces, not the input; text is tested as it stands,
+    and encoded only once its row count has passed ``check``:
 
-    1. every piece must be ASCII with no ``\\r``, and its commas are counted;
+    1. the input must be ASCII with no ``\\r``, and its commas are counted;
        when they are three a row for 2^k rows, k >= 1, ``check``, if given,
        is called with the row count before any W is held, and may raise;
     2. the input must end in ``\\n``, and the walsh field of each row is
@@ -351,34 +352,39 @@ def _canonical_csv(source, check=None) -> SpectrumReport | None:
     on to ``_read_csv``.  An export is at most about 1.1 GB, so an input of
     2^31 bytes or more is refused unread.
     """
-    if isinstance(source, (str, bytes)):
-        if not source.isascii():
+    head = _CSV_HEADER + "\n"
+    if isinstance(source, str):  # so refusing an over-cap text copies none of it
+        if (not source.isascii() or len(source) >> 31 or not source.startswith(head)
+                or "\r" in source):
             return None
-        data = source.encode("ascii") if isinstance(source, str) else source
-        size, source = len(data), io.BytesIO(data)
+        commas = source.count(",", len(head))
     else:
-        size = source.seek(0, io.SEEK_END)
-        source.seek(0)
-    head = (_CSV_HEADER + "\n").encode()
-    if size >> 31 or source.read(len(head)) != head:
-        return None
-    commas, piece = 0, bytearray(_SCAN_BYTES)  # one piece, refilled in place
-    while got := source.readinto(piece):
-        if got < len(piece):
-            del piece[got:]
-        if not piece.isascii() or b"\r" in piece:
+        if isinstance(source, bytes):
+            size, source = len(source), io.BytesIO(source)
+        else:
+            size = source.seek(0, io.SEEK_END)
+            source.seek(0)
+        if size >> 31 or source.read(len(head)) != head.encode():
             return None
-        view = np.frombuffer(piece, np.uint8)  # counted 32 KiB at a time: small bool temporaries
-        for at in range(0, got, 1 << 15):
-            commas += int(np.count_nonzero(view[at:at + (1 << 15)] == ord(",")))
-        del view  # it exports the piece, which then could not be resized
-    del piece
+        commas, piece = 0, bytearray(_SCAN_BYTES)  # one piece, refilled in place
+        while got := source.readinto(piece):
+            if got < len(piece):
+                del piece[got:]
+            if not piece.isascii() or b"\r" in piece:
+                return None
+            view = np.frombuffer(piece, np.uint8)  # 32 KiB at a time: small bool temporaries
+            for at in range(0, got, 1 << 15):
+                commas += int(np.count_nonzero(view[at:at + (1 << 15)] == ord(",")))
+            del view  # it exports the piece, which then could not be resized
+        del piece
     rows, extra = divmod(commas, 3)
     if extra or rows < 2 or rows & (rows - 1):
         return None
     if check is not None:
         check(rows)
-    source.seek(size - 1)
+    if isinstance(source, str):
+        source = io.BytesIO(source.encode("ascii"))
+    source.seek(-1, io.SEEK_END)
     if source.read(1) != b"\n":  # an export ends its last row; W is not parsed for less
         return None
     source.seek(len(head))
@@ -418,20 +424,26 @@ def read_report(text: str | bytes) -> SpectrumReport:
 
 
 def _read_source(source, check=None) -> SpectrumReport:
-    """``read_report`` of text, bytes or a file ``Path``; ``check(rows)`` may refuse a CSV unparsed.
+    """``read_report`` of text, bytes or a binary file; ``check(rows)`` may refuse a CSV unparsed.
 
-    A regular file is read in pieces; any other file, or one that is not an
-    export as it stands, goes to ``_read_stripped`` as its text, which no
-    name holds, so the stripped read can free it.
+    A seekable file is read in pieces; any other file, or one that is not an
+    export as it stands, goes to ``_read_stripped`` as its text, read with
+    universal newlines (so a CRLF export is an export), which no name holds,
+    so the stripped read can free it.
     """
     if isinstance(source, (str, bytes)):
         report = _canonical_csv(source, check)
         return report if report is not None else _read_stripped(source, check)
-    report = None
-    if source.is_file():
-        with source.open("rb") as fh:
-            report = _canonical_csv(fh, check)
-    return report if report is not None else _read_stripped(source.read_text(), check)
+    if source.seekable():
+        report = _canonical_csv(source, check)
+        if report is not None:
+            return report
+        source.seek(0)
+    reader = io.TextIOWrapper(source)
+    try:
+        return _read_stripped(reader.read(), check)
+    finally:
+        reader.detach()  # the caller's file stays open
 
 
 def _read_stripped(text: str | bytes, check=None) -> SpectrumReport:

@@ -486,6 +486,38 @@ def test_anf_degree_is_largest_monomial():
     assert [a.degree for a in polys[:6]] == [0] * 6
 
 
+def _subset_xor(bits):
+    """coefficients[m], the XOR of f(x) over the x whose set bits lie within m, in pure Python."""
+    coefficients = []
+    for m in range(len(bits)):
+        value, x = 0, m
+        while True:  # x runs over the submasks of m, ending at 0
+            value ^= bits[x]
+            if not x:
+                break
+            x = (x - 1) & m
+        coefficients.append(value)
+    return coefficients
+
+
+@pytest.mark.parametrize("n", range(1, 11))  # a padded word below n = 6, one at 6, two at 7
+def test_to_anf_matches_the_subset_xor_reference(n):
+    rng = np.random.default_rng(n)
+    top = TruthTable.from_int(n, 1 << ((1 << n) - 1))  # x_0 x_1 ... x_{n-1}
+    for tt in (random_function(n, rng), make_affine(n, (1 << n) - 1, 1), top):
+        anf = to_anf(tt)
+        assert anf.coefficients.tolist() == _subset_xor(tt.bits.tolist())
+        assert from_anf(anf) == tt
+
+
+def test_degree_of_every_single_monomial_is_its_popcount():
+    for n in range(1, 11):
+        for m in range(1 << n):
+            coefficients = np.zeros(1 << n, np.uint8)
+            coefficients[m] = 1
+            assert AnfPolynomial(n, coefficients).degree == m.bit_count(), (n, m)
+
+
 def test_anf_coefficient_round_trip():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -759,10 +791,25 @@ def test_to_anf_memory_is_its_coefficients_and_the_degree_scan():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the uint8 coefficients, kept by the polynomial, and the degree's uint8
-    # coefficients times their low popcounts; the half-width popcounts are
-    # small, and the butterfly's buffers are freed before these
-    assert peak <= (1 + 1) * (1 << 18) + (64 << 10), peak
+    # the uint8 coefficients, kept by the polynomial, and the degree scan's
+    # 2^12 packed words, 1/8 of them; the scan's per-word temporaries (a masked
+    # word, its bool and the uint8 top and popcount, 11 B a word) fit 48 KiB.
+    # The transform's words, packed bytes and butterfly buffers, 1/8 each or
+    # less, are freed before the coefficients are scanned
+    assert peak <= (1 + 1 / 8) * (1 << 18) + (48 << 10), peak
+
+
+def test_from_anf_memory_is_its_entries_and_the_packed_words():
+    anf = to_anf(random_function(18, np.random.default_rng(18)))
+    tracemalloc.start()
+    try:
+        from_anf(anf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the uint8 entries, unpacked while the 2^12 words, 1/8 of them, are held;
+    # the packed bytes and the butterfly's buffers are freed before
+    assert peak <= (1 + 1 / 8) * (1 << 18) + (16 << 10), peak
 
 
 def test_butterfly_refuses_non_contiguous_arrays():

@@ -273,6 +273,14 @@ def test_missing_input_file_exit_2(run, tmp_path):
     _assert_file_error(run(["dj", "--in", str(tmp_path / "missing")]))
 
 
+def test_plot_and_dj_echo_a_missing_input_file_as_given(run, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    for name in ("./missing", ".//missing"):
+        outcome = run(["plot", "--in", name])
+        assert outcome == run(["dj", "--in", name])
+        assert outcome == (2, "", f"error: [Errno 2] No such file or directory: '{name}'\n")
+
+
 def test_directory_input_exit_2(run, tmp_path):
     _assert_file_error(run(["sample", "--in", str(tmp_path)]))
 
@@ -446,6 +454,23 @@ def test_plot_refuses_an_over_cap_export_holding_one_piece(run, monkeypatch, tmp
     assert outcome == (2, "", "error: n = 14 is outside the configured cap [1, 10]\n")
     bound = spectra._SCAN_BYTES + (256 << 10)
     assert peak <= bound, (peak, bound)
+
+
+def test_plot_memory_refusing_an_over_cap_text_export_copies_none_of_it(run, monkeypatch):
+    text = spectra.export_csv(spectra.make_report(random_function(14, np.random.default_rng(14))))
+    monkeypatch.setenv("BENTSPECTRA_MAX_N", "10")
+    argv = ["plot", "--tt", text, "--format", "svg"]
+    run(argv)  # warm
+    tracemalloc.start()
+    try:
+        outcome = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the text is tested and its commas counted as it stands, so the refusal
+    # makes no copy of it, ASCII bytes or stripped text, each the text's size
+    assert outcome == (2, "", "error: n = 14 is outside the configured cap [1, 10]\n")
+    assert peak < len(text) // 2, (peak, len(text))
 
 
 def test_plot_memory_refusing_an_over_cap_export_without_its_final_newline_is_one_piece(
