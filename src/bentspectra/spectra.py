@@ -17,15 +17,15 @@ of two-digit decimals.  Each column is gathered once per block of 2^12 rows
 and the block is joined once, so no string is built per row.  The
 string-returning exporters join their blocks; the CLI writes the blocks as
 they come, so a command's memory is its columns and a few blocks, not its
-text.  The CSV reader takes the file's text, its bytes or the open file,
-reads it in pieces, rebuilds the report from the W column alone and accepts
-the file when the report's export, compared block by block, is those bytes;
-only a file that differs from it is decoded, if need be, and parsed field by
-field.  ``_read_source`` reads any report source (text, bytes or an open
-binary file) and meets a caller's caps with a CSV's row count before it
-parses a row.  Bars are keyed by W, so a bar's height is computed from W.
-All exporters are deterministic, and floating-point columns are printed with
-up to 17 significant digits, enough to round-trip float64 losslessly.
+text.  The CSV reader takes the file's text, its bytes or the open file, reads
+its row count off the last row and W in pieces of whole rows, and accepts the
+file when the export of the report rebuilt from W is those bytes, block by
+block; only a file that differs from it is decoded, if need be, and parsed
+field by field.  ``_read_source`` reads any report source (text, bytes or an
+open binary file) and meets a caller's caps with a CSV's row count before it
+parses a row.  Bars are keyed by W, so a bar's height is computed from W.  All
+exporters are deterministic; float columns are printed with up to 17
+significant digits, enough to round-trip float64 losslessly.
 """
 
 from __future__ import annotations
@@ -280,8 +280,10 @@ def _read_csv(lines: list[str]) -> SpectrumReport:
     )
 
 
-#: Bytes per piece in which ``_canonical_csv`` reads its source.
+#: ``_canonical_csv`` reads its source in pieces of ``_SCAN_BYTES``, and finds
+#: the last row in its last ``_TAIL_BYTES`` (an export's row is under 80 bytes).
 _SCAN_BYTES = 1 << 18
+_TAIL_BYTES = 256
 
 
 def _comma_positions(buf: np.ndarray) -> np.ndarray:
@@ -292,43 +294,35 @@ def _comma_positions(buf: np.ndarray) -> np.ndarray:
 def _walsh_fields(source, rows: int) -> np.ndarray | None:
     """The int32 walsh field of each of ``rows`` rows, read from ``source`` after the header.
 
-    Body comma 3r + 1 closes row r's walsh field and comma 3r opens it.  Each
-    piece is read in behind the last 9 bytes before it, a sign and eight
-    digits (|W| <= 2^24), and the position of the last comma before it, so a
-    field that a piece boundary cuts is parsed whole with the piece that
-    closes it; a longer field is refused.  None when the fields are not
-    ``rows`` such numbers.
+    Each piece is ``_SCAN_BYTES`` and the rest of the row they end in, read into
+    one reused buffer, so an export's piece holds whole rows: its commas 3r
+    and 3r + 1 bound its row r's walsh field.  None when the fields are not
+    ``rows`` numbers of a sign and at most eight digits (|W| <= 2^24).
     """
-    keep = 9
-    window = np.empty(keep + _SCAN_BYTES, dtype=np.uint8)
     w = np.empty(rows, dtype=np.int32)
-    filled = seen = kept = 0
-    last = -1  # window position of the comma before the piece
-    while got := source.readinto(window[keep:]):
-        commas = np.concatenate(([last], _comma_positions(window[keep:keep + got]) + keep))
-        first = (2 - seen) % 3 or 3  # the first of them that closes a walsh field
-        end = commas[first::3]
-        start = commas[first - 1::3][:end.size] + 1
-        if end.size:
-            if filled + end.size > rows or (end - start).max() > keep:
-                return None
-            negative = window[start] == ord("-")
-            width = end - start - negative
-            if width.min() < 1 or width.max() > 8:
-                return None
-            # an ASCII byte is a "digit" of magnitude at most 79, so eight of them sum
-            # within int32 and W is parsed in the dtype the spectrum stores
-            v = np.zeros(end.size, dtype=np.int32)
-            for k in range(int(width.max())):
-                digit = window[end - 1 - k].astype(np.int32) - ord("0")
-                v += np.where(width > k, digit, 0) * 10**k
-            np.negative(v, out=v, where=negative)
-            w[filled:filled + end.size] = v
-            filled += end.size
-        seen += commas.size - 1
-        last = int(commas[-1]) - got
-        kept = min(keep, kept + got)
-        window[keep - kept:keep] = window[keep + got - kept:keep + got]
+    buf = np.empty(_SCAN_BYTES + 80, dtype=np.uint8)  # a piece and the rest of its last row
+    filled = 0
+    while got := source.readinto(buf[:_SCAN_BYTES]):
+        rest = np.frombuffer(source.readline(80), np.uint8)  # an export's row is under 80 bytes
+        buf[got:got + rest.size] = rest
+        commas = _comma_positions(buf[:got + rest.size])
+        end = commas[1::3]
+        if not commas.size or commas.size % 3 or filled + end.size > rows:
+            return None
+        start = commas[0::3] + 1
+        negative = buf[start] == ord("-")
+        width = end - start - negative
+        if width.min() < 1 or width.max() > 8:
+            return None
+        # any byte is read as a "digit" (eight may wrap int32), so a field that is not
+        # a number is misread; the re-export spells W in ASCII digits and refuses it
+        v = np.zeros(end.size, dtype=np.int32)
+        for k in range(int(width.max())):
+            digit = buf[end - 1 - k].astype(np.int32) - ord("0")
+            v += np.where(width > k, digit, 0) * 10**k
+        np.negative(v, out=v, where=negative)
+        w[filled:filled + end.size] = v
+        filled += end.size
     return w if filled == rows else None
 
 
@@ -336,28 +330,28 @@ def _canonical_csv(source, check=None) -> SpectrumReport | None:
     """The report whose ``export_csv`` is exactly ``source``; None for any other input.
 
     ``source`` is text, its bytes or a seekable binary file.  Bytes and files
-    are read from their start in pieces of ``_SCAN_BYTES``, so the reader
-    holds W and a few pieces, not the input; text is tested as it stands,
-    and encoded only once its row count has passed ``check``:
+    are read from their start, so the reader holds W and a few pieces, not
+    the input; text is tested as it stands, and encoded only once its row
+    count has passed ``check``:
 
-    1. the input must be ASCII with no ``\\r``, and its commas are counted;
-       when they are three a row for 2^k rows, k >= 1, ``check``, if given,
-       is called with the row count before any W is held, and may raise;
+    1. the header and the last ``_TAIL_BYTES`` are read: the last row's p,
+       one final ``\\n`` aside, gives the row count p + 1.  When that is 2^k,
+       k >= 1, and the input holds 8 bytes (the shortest row) for each,
+       ``check``, if given, is called with it before any W is held, and may raise;
     2. the input must end in ``\\n``, and the walsh field of each row is
        parsed, digit by digit, into one int32 W (``_walsh_fields``);
     3. the report is rebuilt from W, and each block of its export must be the
        next bytes of the input, and the last block its end.
 
-    Acceptance rests on the re-export, so a misread W can only send the input
-    on to ``_read_csv``.  An export is at most about 1.1 GB, so an input of
-    2^31 bytes or more is refused unread.
+    Acceptance rests on the re-export, which checks every byte, so a misread
+    row count or W can only send the input on to ``_read_csv``.  An export is
+    at most about 1.1 GB, so an input of 2^31 bytes or more is refused unread.
     """
     head = _CSV_HEADER + "\n"
     if isinstance(source, str):  # so refusing an over-cap text copies none of it
-        if (not source.isascii() or len(source) >> 31 or not source.startswith(head)
-                or "\r" in source):
+        if len(source) >> 31 or not source.startswith(head):
             return None
-        commas = source.count(",", len(head))
+        size, tail = len(source), source[-_TAIL_BYTES:].encode(errors="surrogatepass")
     else:
         if isinstance(source, bytes):
             size, source = len(source), io.BytesIO(source)
@@ -366,27 +360,19 @@ def _canonical_csv(source, check=None) -> SpectrumReport | None:
             source.seek(0)
         if size >> 31 or source.read(len(head)) != head.encode():
             return None
-        commas, piece = 0, bytearray(_SCAN_BYTES)  # one piece, refilled in place
-        while got := source.readinto(piece):
-            if got < len(piece):
-                del piece[got:]
-            if not piece.isascii() or b"\r" in piece:
-                return None
-            view = np.frombuffer(piece, np.uint8)  # 32 KiB at a time: small bool temporaries
-            for at in range(0, got, 1 << 15):
-                commas += int(np.count_nonzero(view[at:at + (1 << 15)] == ord(",")))
-            del view  # it exports the piece, which then could not be resized
-        del piece
-    rows, extra = divmod(commas, 3)
-    if extra or rows < 2 or rows & (rows - 1):
+        source.seek(max(size - _TAIL_BYTES, 0))
+        tail = source.read()
+    _, newline, last = tail.removesuffix(b"\n").rpartition(b"\n")
+    p = last.partition(b",")[0]
+    rows = int(p) + 1 if newline and p.isdigit() else 0
+    if rows < 2 or rows & (rows - 1) or 8 * rows > size:
         return None
     if check is not None:
         check(rows)
-    if isinstance(source, str):
-        source = io.BytesIO(source.encode("ascii"))
-    source.seek(-1, io.SEEK_END)
-    if source.read(1) != b"\n":  # an export ends its last row; W is not parsed for less
+    if not tail.endswith(b"\n"):  # an export ends its last row; W is not parsed for less
         return None
+    if isinstance(source, str):
+        source = io.BytesIO(source.encode(errors="surrogatepass"))
     source.seek(len(head))
     w = _walsh_fields(source, rows)
     if w is None:
@@ -406,13 +392,12 @@ def _canonical_csv(source, check=None) -> SpectrumReport | None:
 def read_report(text: str | bytes) -> SpectrumReport:
     """Parse a report previously exported as CSV or JSON, given as text or as its UTF-8 bytes.
 
-    The input as given is first read as a CSV, in pieces through an
-    ``io.BytesIO`` over the bytes, or over the text's ASCII encoding: the
-    report is rebuilt from its walsh column alone and accepted when its
-    export is the input itself (``_canonical_csv``), so the read holds the
-    input, W and a few pieces and blocks.  Any other
-    input is decoded, if bytes, and stripped.  A CSV that then is an export
-    but for its final newline (one that lost it or gained surrounding
+    The input as given is first read as a CSV (``_canonical_csv``): the row
+    count comes from its last row, its walsh column is parsed in pieces, and
+    the report rebuilt from W alone is accepted when its export is the input
+    itself, so the read holds the input, W and a few pieces and blocks.  Any
+    other input is decoded, if bytes, and stripped.  A CSV that then is an
+    export but for its final newline (one that lost it or gained surrounding
     whitespace) is read the same way; any other (other line ends, blank lines
     or number spellings, say) is parsed field by field, to the same report or
     the same error.  So bytes read exactly as their decoded text does.  In
@@ -427,9 +412,9 @@ def _read_source(source, check=None) -> SpectrumReport:
     """``read_report`` of text, bytes or a binary file; ``check(rows)`` may refuse a CSV unparsed.
 
     A seekable file is read in pieces; any other file, or one that is not an
-    export as it stands, goes to ``_read_stripped`` as its text, read with
-    universal newlines (so a CRLF export is an export), which no name holds,
-    so the stripped read can free it.
+    export as it stands, is decoded through ``io.TextIOWrapper`` (universal
+    newlines, so a CRLF export is an export) into a text that no name holds,
+    so ``_read_stripped`` can free it.
     """
     if isinstance(source, (str, bytes)):
         report = _canonical_csv(source, check)

@@ -374,12 +374,15 @@ def test_plot_in_reads_every_file_as_its_text(run, tmp_path, args):
     wide_json = spectra.export_json(spectra.make_report(
         TruthTable(2, [0, 1, 1, 0]), "," * (3 * 1025 - commas + 1))).encode()
     csv, lines = small.read_bytes(), small.read_bytes().split(b"\n")
+    e_acutes = lines[1].split(b",")
+    e_acutes[1] = "\u00e9".encode() * 4  # a walsh field of 8 non-ASCII bytes
     variants = {
         "export": csv,
         "crlf": csv.replace(b"\n", b"\r\n"),
         "lone-cr": b"\n".join(lines[:3]) + b"\r" + b"\n".join(lines[3:]),
         "not-utf8": csv.replace(b"walsh", b"w\xe9lsh"),
         "trailing-0xff": csv + b"\xff",
+        "non-ascii-walsh": b"\n".join([lines[0], b",".join(e_acutes), *lines[2:]]),
         "over-cap": big.read_bytes(),
         "over-cap-crlf": big.read_bytes().replace(b"\n", b"\r\n"),
         "json-after-x1c": b"\x1c\x1f " + json_text,

@@ -1,5 +1,6 @@
 """Report exports (CSV/JSON), parsing round trips, and bar rendering."""
 
+import io
 import json
 import re
 import tracemalloc
@@ -838,6 +839,8 @@ def test_report_bytes_read_as_their_text(n):
         export_json(make_report(tt, generator="b\u00e9", seed=n)).encode(),
         respelled,
         _PARSEVAL_BROKEN.encode(),
+        # a walsh field of four UTF-8 e-acutes (8 bytes), read by the digit loop
+        (_edited(data.decode().splitlines(), 0, 1, "\u00e9" * 4) + "\n").encode(),
     ):
         _assert_bytes_read_as_text(variant)
 
@@ -870,6 +873,47 @@ def test_canonical_csv_refuses_a_buffer_past_int32_positions(monkeypatch):
     assert spectra._canonical_csv(data) is not None
     monkeypatch.setattr(spectra, "_comma_positions", scan)
     assert spectra._canonical_csv(Huge(data)) is None
+
+
+class _CountingBytes(io.BytesIO):
+    """An in-memory file that counts the bytes its reads return."""
+
+    returned = 0
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.returned += len(data)
+        return data
+
+    def readinto(self, buf):
+        got = super().readinto(buf)
+        self.returned += got
+        return got
+
+    def readline(self, size=-1):
+        line = super().readline(size)
+        self.returned += len(line)
+        return line
+
+
+def test_canonical_csv_reads_the_tail_to_refuse_and_the_export_twice_to_accept():
+    report = make_report(random_function(12, np.random.default_rng(12)))
+    data = export_csv(report).encode()
+
+    def refuse(rows):
+        raise ValueError(f"{rows} rows")
+
+    source = _CountingBytes(data)
+    with pytest.raises(ValueError, match="^4096 rows$"):
+        spectra._canonical_csv(source, refuse)
+    # the header and the 256-byte tail that holds the last row; the whole input
+    # when the row count was its commas
+    assert source.returned <= len(spectra._CSV_HEADER) + 1 + 256, source.returned
+    source = _CountingBytes(data)
+    assert spectra._canonical_csv(source) == report
+    # the walsh pass and the comparison, and the header and tail; three times
+    # the input when a comma-count pass came first
+    assert source.returned <= 2 * len(data) + 256, (source.returned, len(data))
 
 
 # ---------------------------------------------------------------------------
