@@ -86,6 +86,8 @@ def _read_input(args) -> tuple[str, str]:
     if args.tt is not None:
         return args.tt, "inline"
     if args.infile is None:
+        if sys.stdin is None:  # the process started with it closed
+            raise ValueError("stdin is closed")
         return sys.stdin.read(), "stdin"
     with open(args.infile) as fh:  # not Path: Path('') is '.'
         return fh.read(), args.infile
@@ -103,6 +105,8 @@ def _write(blocks, out: str | Path | None) -> None:
     if out is not None:
         with open(out, "w") as fh:
             fh.writelines(blocks)
+    elif sys.stdout is None:  # the process started with it closed
+        raise ValueError("stdout is closed")
     else:
         sys.stdout.writelines(blocks)
 
@@ -265,11 +269,12 @@ def _check_rows(cap: int, fmt: str, rows: int) -> None:
 
 def _cmd_plot(args, cap: int) -> None:
     check = partial(_check_rows, cap, args.format)
-    if args.infile and args.tt is None:
-        # the open file goes to the reader, so an export is read in pieces
+    if args.tt is None and args.infile is not None:  # a binary file is read in pieces
         with open(args.infile, "rb") as fh:  # not Path: Path('./x') is 'x'
             report = spectra._read_source(fh, check)
-    else:
+    elif args.tt is None and hasattr(sys.stdin, "buffer"):
+        report = spectra._read_source(sys.stdin.buffer, check)
+    else:  # --tt, or a text stdin such as an io.StringIO
         report = spectra._read_source(_read_input(args)[0], check)
     _check_arity(report.n, cap)
     _write(_bars(report, args.column, args.format, args.title), args.out)
@@ -362,7 +367,8 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         _COMMANDS[args.command](args, _arity_cap())
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
         return 0
     except BrokenPipeError:  # an OSError, so it is caught first
         # the reader closed stdout early: print nothing, not even at exit, and

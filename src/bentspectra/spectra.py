@@ -17,13 +17,12 @@ of two-digit decimals.  Each column is gathered once per block of 2^12 rows
 and the block is joined once, so no string is built per row.  The
 string-returning exporters join their blocks; the CLI writes the blocks as
 they come, so a command's memory is its columns and a few blocks, not its
-text.  The CSV reader takes the file's text, its bytes or the open file, reads
-its row count off the last row and W in pieces of whole rows, and accepts the
-file when the export of the report rebuilt from W is those bytes, block by
-block; only a file that differs from it is decoded, if need be, and parsed
-field by field.  ``_read_source`` reads any report source (text, bytes or an
-open binary file) and meets a caller's caps with a CSV's row count before it
-parses a row.  Bars are keyed by W, so a bar's height is computed from W.  All
+text.  ``_read_source`` reads text, bytes or a binary file, which it first
+copies to a temporary file when it cannot read it from byte 0 (a pipe, say).
+It meets a caller's caps with a CSV's row count, read off the last row, reads
+W in pieces of whole rows, and accepts the input when the report rebuilt from
+W exports to its bytes; any other input is decoded, if need be, and parsed
+field by field.  Bars are keyed by W, so their heights come from W.  All
 exporters are deterministic; float columns are printed with up to 17
 significant digits, enough to round-trip float64 losslessly.
 """
@@ -33,6 +32,8 @@ from __future__ import annotations
 import io
 import json
 import re
+import shutil
+import tempfile
 from functools import partial
 from typing import Sequence
 
@@ -329,10 +330,8 @@ def _walsh_fields(source, rows: int) -> np.ndarray | None:
 def _canonical_csv(source, check=None) -> SpectrumReport | None:
     """The report whose ``export_csv`` is exactly ``source``; None for any other input.
 
-    ``source`` is text, its bytes or a seekable binary file.  Bytes and files
-    are read from their start, so the reader holds W and a few pieces, not
-    the input; text is tested as it stands, and encoded only once its row
-    count has passed ``check``:
+    ``source`` is text, encoded first, its bytes or a seekable binary file,
+    read from its start, so the reader holds W and a few pieces, not the input:
 
     1. the header and the last ``_TAIL_BYTES`` are read: the last row's p,
        one final ``\\n`` aside, gives the row count p + 1.  When that is 2^k,
@@ -347,21 +346,18 @@ def _canonical_csv(source, check=None) -> SpectrumReport | None:
     row count or W can only send the input on to ``_read_csv``.  An export is
     at most about 1.1 GB, so an input of 2^31 bytes or more is refused unread.
     """
-    head = _CSV_HEADER + "\n"
-    if isinstance(source, str):  # so refusing an over-cap text copies none of it
-        if len(source) >> 31 or not source.startswith(head):
-            return None
-        size, tail = len(source), source[-_TAIL_BYTES:].encode(errors="surrogatepass")
+    head = (_CSV_HEADER + "\n").encode()
+    if isinstance(source, str):
+        source = source.encode(errors="surrogatepass")
+    if isinstance(source, bytes):
+        size, source = len(source), io.BytesIO(source)
     else:
-        if isinstance(source, bytes):
-            size, source = len(source), io.BytesIO(source)
-        else:
-            size = source.seek(0, io.SEEK_END)
-            source.seek(0)
-        if size >> 31 or source.read(len(head)) != head.encode():
-            return None
-        source.seek(max(size - _TAIL_BYTES, 0))
-        tail = source.read()
+        size = source.seek(0, io.SEEK_END)
+    source.seek(0)
+    if size >> 31 or source.read(len(head)) != head:
+        return None
+    source.seek(max(size - _TAIL_BYTES, 0))
+    tail = source.read()
     _, newline, last = tail.removesuffix(b"\n").rpartition(b"\n")
     p = last.partition(b",")[0]
     rows = int(p) + 1 if newline and p.isdigit() else 0
@@ -371,8 +367,6 @@ def _canonical_csv(source, check=None) -> SpectrumReport | None:
         check(rows)
     if not tail.endswith(b"\n"):  # an export ends its last row; W is not parsed for less
         return None
-    if isinstance(source, str):
-        source = io.BytesIO(source.encode(errors="surrogatepass"))
     source.seek(len(head))
     w = _walsh_fields(source, rows)
     if w is None:
@@ -392,18 +386,17 @@ def _canonical_csv(source, check=None) -> SpectrumReport | None:
 def read_report(text: str | bytes) -> SpectrumReport:
     """Parse a report previously exported as CSV or JSON, given as text or as its UTF-8 bytes.
 
-    The input as given is first read as a CSV (``_canonical_csv``): the row
-    count comes from its last row, its walsh column is parsed in pieces, and
-    the report rebuilt from W alone is accepted when its export is the input
-    itself, so the read holds the input, W and a few pieces and blocks.  Any
-    other input is decoded, if bytes, and stripped.  A CSV that then is an
-    export but for its final newline (one that lost it or gained surrounding
-    whitespace) is read the same way; any other (other line ends, blank lines
-    or number spellings, say) is parsed field by field, to the same report or
-    the same error.  So bytes read exactly as their decoded text does.  In
-    JSON, n and any seed must be integers and any generator a string.
-    Malformed input, deep JSON nesting and bytes that are not UTF-8 included,
-    or self-contradicting input raises ``ValueError``.
+    The input's bytes are first read as a CSV (``_canonical_csv``): the row
+    count comes from the last row, the walsh column is parsed in pieces, and
+    the report rebuilt from W alone is accepted when its export is the bytes
+    themselves.  Any other input is decoded, if bytes, and stripped.  A CSV
+    that then is an export but for its final newline (one that lost it or
+    gained surrounding whitespace) is read the same way; any other (other line
+    ends, blank lines or number spellings, say) is parsed field by field, to
+    the same report or the same error.  So bytes read exactly as their decoded
+    text does.  In JSON, n and any seed must be integers and any generator a
+    string.  Malformed input, deep JSON nesting and bytes that are not UTF-8
+    included, or self-contradicting input raises ``ValueError``.
     """
     return _read_source(text)
 
@@ -411,19 +404,22 @@ def read_report(text: str | bytes) -> SpectrumReport:
 def _read_source(source, check=None) -> SpectrumReport:
     """``read_report`` of text, bytes or a binary file; ``check(rows)`` may refuse a CSV unparsed.
 
-    A seekable file is read in pieces; any other file, or one that is not an
-    export as it stands, is decoded through ``io.TextIOWrapper`` (universal
-    newlines, so a CRLF export is an export) into a text that no name holds,
-    so ``_read_stripped`` can free it.
+    A seekable file at byte 0 is read in pieces, then, if it is not an export
+    as it stands, decoded with universal newlines into a text that
+    ``_read_stripped`` can free.  Any other file (a pipe, a FIFO, a TTY, a
+    stdin at an offset) is first copied in pieces to a temporary file.
     """
     if isinstance(source, (str, bytes)):
         report = _canonical_csv(source, check)
         return report if report is not None else _read_stripped(source, check)
-    if source.seekable():
-        report = _canonical_csv(source, check)
-        if report is not None:
-            return report
-        source.seek(0)
+    if not (source.seekable() and source.tell() == 0):
+        with tempfile.TemporaryFile() as copy:
+            shutil.copyfileobj(source, copy)
+            copy.seek(0)
+            return _read_source(copy, check)
+    if (report := _canonical_csv(source, check)) is not None:
+        return report
+    source.seek(0)
     reader = io.TextIOWrapper(source)
     try:
         return _read_stripped(reader.read(), check)
@@ -433,9 +429,7 @@ def _read_source(source, check=None) -> SpectrumReport:
 
 def _read_stripped(text: str | bytes, check=None) -> SpectrumReport:
     """``read_report`` of an input that is not an export as given: decoded, if bytes, and stripped."""
-    if isinstance(text, bytes):
-        text = text.decode()
-    text = text.strip()
+    text = (text.decode() if isinstance(text, bytes) else text).strip()
     if not text:
         raise ValueError("empty report")
     if text.startswith("{"):

@@ -459,21 +459,87 @@ def test_plot_refuses_an_over_cap_export_holding_one_piece(run, monkeypatch, tmp
     assert peak <= bound, (peak, bound)
 
 
-def test_plot_memory_refusing_an_over_cap_text_export_copies_none_of_it(run, monkeypatch):
-    text = spectra.export_csv(spectra.make_report(random_function(14, np.random.default_rng(14))))
-    monkeypatch.setenv("BENTSPECTRA_MAX_N", "10")
-    argv = ["plot", "--tt", text, "--format", "svg"]
-    run(argv)  # warm
+@contextlib.contextmanager
+def _piped_stdin(monkeypatch, data: bytes):
+    """stdin as a text file over a pipe that a writer thread fills with ``data``."""
+    read, write = os.pipe()
+
+    def fill():
+        with open(write, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=fill, daemon=True)
+    writer.start()
+    with io.TextIOWrapper(open(read, "rb")) as stdin:
+        monkeypatch.setattr(sys, "stdin", stdin)
+        yield
+    writer.join(timeout=60)
+    assert not writer.is_alive()
+
+
+def _traced_peak(call):
+    """The outcome of ``call()`` and the peak of the memory traced while it ran."""
     tracemalloc.start()
     try:
-        outcome = run(argv)
-        peak = tracemalloc.get_traced_memory()[1]
+        return call(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the text is tested and its commas counted as it stands, so the refusal
-    # makes no copy of it, ASCII bytes or stripped text, each the text's size
+
+
+def test_plot_memory_refusing_an_over_cap_export_through_a_pipe_is_one_piece(run, monkeypatch):
+    data = spectra.export_csv(
+        spectra.make_report(random_function(14, np.random.default_rng(14)))).encode()
+    monkeypatch.setenv("BENTSPECTRA_MAX_N", "10")
+    argv = ["plot", "--format", "svg"]
+    for _ in range(2):  # warm, then measured
+        with _piped_stdin(monkeypatch, data):
+            outcome, peak = _traced_peak(lambda: run(argv))
+    # the pipe is copied in pieces to a temporary file, whose header and last
+    # row meet the caps; 1.50 MB when stdin was read whole as text
     assert outcome == (2, "", "error: n = 14 is outside the configured cap [1, 10]\n")
-    assert peak < len(text) // 2, (peak, len(text))
+    bound = spectra._SCAN_BYTES + (256 << 10)
+    assert peak <= bound, (peak, bound)
+
+
+@pytest.mark.parametrize("piped", [True, False], ids=["pipe", "file"])
+def test_plot_memory_from_an_export_through_stdin_is_its_int32_columns(run, monkeypatch,
+                                                                       tmp_path, piped):
+    report, svg = tmp_path / "r.csv", tmp_path / "p.svg"
+    _export_file(report, 18)
+    data = report.read_bytes()
+    argv = ["plot", "--format", "svg", "--out", str(svg)]
+    expected = run(argv + ["--in", str(report)])
+    expected_svg = svg.read_bytes()
+    for _ in range(2):  # warm, then measured
+        with contextlib.ExitStack() as stack:
+            if piped:
+                stack.enter_context(_piped_stdin(monkeypatch, data))
+            else:
+                monkeypatch.setattr(sys, "stdin", stack.enter_context(report.open()))
+            outcome, peak = _traced_peak(lambda: run(argv))
+    assert outcome == expected and svg.read_bytes() == expected_svg
+    # the bound of the same export read by --in; 31.4 MB when stdin was read whole
+    bound = 2 * 4 * (1 << 18) + (1 << 20)
+    assert peak <= bound, (peak, bound)
+
+
+@pytest.mark.parametrize("prefix", [b"", b"junk\n"])
+def test_plot_reads_a_stdin_file_from_its_offset(run, monkeypatch, tmp_path, prefix):
+    # as ``(python -c 'import os; os.lseek(0, 30, 0)'; bentspectra plot) < r.csv``
+    # hands plot a stdin whose first 30 bytes were read elsewhere
+    path = tmp_path / "r.csv"
+    path.write_bytes(prefix + spectra.export_csv(spectra.make_report(
+        random_function(4, np.random.default_rng(4)))).encode())
+    offset = len(prefix) or len(spectra._CSV_HEADER) + 1
+    with path.open() as stdin:
+        os.lseek(stdin.fileno(), offset, os.SEEK_SET)
+        monkeypatch.setattr(sys, "stdin", stdin)
+        outcome = run(["plot"])
+    assert outcome == run(["plot", "--tt", path.read_bytes()[offset:].decode()])
+    if prefix:
+        assert outcome[0] == 0
+    else:
+        assert outcome[0] == 2 and outcome[2].startswith("error: unexpected report header: ")
 
 
 def test_plot_memory_refusing_an_over_cap_export_without_its_final_newline_is_one_piece(
@@ -554,6 +620,26 @@ def test_plot_in_reads_a_fifo_as_its_text(run, tmp_path):
         assert outcomes[name] == run(["plot", "--tt", text]), name
     assert outcomes["export"] == outcomes["crlf"] and outcomes["export"][0] == 0
     assert outcomes["over-cap"] == (2, "", "error: ascii rendering is capped at 256 bars\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_plot_memory_refusing_an_over_cap_export_in_a_fifo_is_one_piece(run, monkeypatch,
+                                                                       tmp_path):
+    path, fifo = tmp_path / "r.csv", tmp_path / "fifo"
+    _export_file(path, 14)
+    data = path.read_bytes()
+    os.mkfifo(fifo)
+    monkeypatch.setenv("BENTSPECTRA_MAX_N", "10")
+    for _ in range(2):  # warm, then measured
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        outcome, peak = _traced_peak(lambda: run(["plot", "--in", str(fifo), "--format", "svg"]))
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+    # copied in pieces and refused from the copy's last row, as a regular file is
+    assert outcome == (2, "", "error: n = 14 is outside the configured cap [1, 10]\n")
+    bound = spectra._SCAN_BYTES + (256 << 10)
+    assert peak <= bound, (peak, bound)
 
 
 def test_plot_svg_from_dj_json(run):
@@ -1011,6 +1097,26 @@ def test_closed_output_pipe_exits_141_quietly(tmp_path, command, lines):
         proc.stdout.close()  # as `| head -1` does
         err = proc.stderr.read()
     assert proc.returncode == 141 and err == b""
+
+
+# as ``bentspectra walsh <&-`` or ``bentspectra gen ... >&-`` start Python
+@pytest.mark.parametrize("stream, argv", [
+    ("stdin", ["walsh"]),
+    ("stdin", ["plot"]),
+    ("stdin", ["dj", "--format", "json"]),
+    ("stdout", ["gen", "--kind", "constant", "--n", "2"]),
+    ("stdout", ["plot", "--tt", "p,walsh,amplitude,probability\n0,0,0,0\n1,2,1,1\n"]),
+])
+def test_a_closed_stdin_or_stdout_is_one_error_line(run, monkeypatch, stream, argv):
+    monkeypatch.setattr(sys, stream, None)
+    assert run(argv) == (2, "", f"error: {stream} is closed\n")
+
+
+def test_a_closed_stdout_is_not_needed_to_write_a_file(run, monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "stdout", None)
+    assert run(["gen", "--kind", "constant", "--n", "2", "--out", str(tmp_path / "f.tt")]) == (
+        0, "", "")
+    assert (tmp_path / "f.tt").read_text() == "0000\n"
 
 
 _CLOSED_PIPE_CALLS = """
