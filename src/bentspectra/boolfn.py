@@ -22,6 +22,7 @@ binary; pass an explicit ``n`` to force the hex reading instead.
 
 from __future__ import annotations
 
+import io
 import json
 import operator
 import os
@@ -326,6 +327,15 @@ class TruthTable(_Frozen):
         if len(tt) > 32:
             tt = tt[:32] + "..."
         return f"TruthTable(n={self.n}, tt={tt!r})"
+
+
+def _read_text(file) -> str:
+    """The rest of a binary file as strict UTF-8 with universal newlines; the file stays open."""
+    reader = io.TextIOWrapper(file, encoding="utf-8")
+    try:
+        return reader.read()
+    finally:
+        reader.detach()
 
 
 def _load_json(text: str, what: str):

@@ -12,9 +12,10 @@ Commands::
     verify    cross-check the independent amplitude routes on given tables
     paper     write the four reference scenarios as CSV + SVG pairs
 
-Tables are read from --tt, --in or stdin in the standard text format, so
-commands compose through pipes: ``bentspectra gen --kind ip-bent --n 4 |
-bentspectra dj | bentspectra plot``.
+Tables and reports are read from --tt, --in or stdin, so commands compose
+through pipes: ``bentspectra gen --kind ip-bent --n 4 | bentspectra dj |
+bentspectra plot``.  Each source is a binary file (--tt is its argument's
+own bytes), decoded once as strict UTF-8 whatever the locale.
 
 Exit codes: 0 success, 1 usage error, 2 validation or file error, 3 a
 ``verify`` route that disagrees with the literal sum or fails its own value
@@ -27,6 +28,8 @@ above 24 are clamped).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -79,29 +82,35 @@ def _check_arity(n: int, cap: int) -> int:
     return n
 
 
-def _read_input(args) -> tuple[str, str]:
-    """Text and name of the single input source: --tt, --in, or stdin."""
+@contextlib.contextmanager
+def _read_input(args):
+    """The single input source, a binary file, and its name: --tt, --in, or stdin.
+
+    --tt is its argument's own bytes, --in the file, closed on exit, and stdin
+    its binary buffer, left open.
+    """
     if args.tt is not None and args.infile is not None:
         raise ValueError("give at most one of --tt and --in")
     if args.tt is not None:
-        return args.tt, "inline"
-    if args.infile is None:
-        if sys.stdin is None:  # the process started with it closed
-            raise ValueError("stdin is closed")
-        return sys.stdin.read(), "stdin"
-    with open(args.infile) as fh:  # not Path: Path('') is '.'
-        return fh.read(), args.infile
+        yield io.BytesIO(os.fsencode(args.tt)), "inline"
+    elif args.infile is not None:
+        with open(args.infile, "rb") as fh:  # not Path: Path('') is '.'
+            yield fh, args.infile
+    elif sys.stdin is None:  # the process started with it closed
+        raise ValueError("stdin is closed")
+    else:
+        yield sys.stdin.buffer, "stdin"
 
 
 def _read_table(args, cap: int) -> tuple[TruthTable, str]:
-    text, source = _read_input(args)
-    tt = TruthTable.from_string(text, n=args.n)
+    with _read_input(args) as (source, name):
+        tt = TruthTable.from_string(boolfn._read_text(source), n=args.n)
     _check_arity(tt.n, cap)
-    return tt, source
+    return tt, name
 
 
 def _write(blocks, out: str | Path | None) -> None:
-    """Write the blocks of a text as they come, to ``out`` or stdout."""
+    """Write the blocks of a text as they come, to ``out`` or to stdout, then flushed."""
     if out is not None:
         with open(out, "w") as fh:
             fh.writelines(blocks)
@@ -109,6 +118,7 @@ def _write(blocks, out: str | Path | None) -> None:
         raise ValueError("stdout is closed")
     else:
         sys.stdout.writelines(blocks)
+        sys.stdout.flush()  # inside main's closed-pipe guard and ahead of any error line
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
@@ -268,14 +278,8 @@ def _check_rows(cap: int, fmt: str, rows: int) -> None:
 
 
 def _cmd_plot(args, cap: int) -> None:
-    check = partial(_check_rows, cap, args.format)
-    if args.tt is None and args.infile is not None:  # a binary file is read in pieces
-        with open(args.infile, "rb") as fh:  # not Path: Path('./x') is 'x'
-            report = spectra._read_source(fh, check)
-    elif args.tt is None and hasattr(sys.stdin, "buffer"):
-        report = spectra._read_source(sys.stdin.buffer, check)
-    else:  # --tt, or a text stdin such as an io.StringIO
-        report = spectra._read_source(_read_input(args)[0], check)
+    with _read_input(args) as (source, _):
+        report = spectra._read_source(source, partial(_check_rows, cap, args.format))
     _check_arity(report.n, cap)
     _write(_bars(report, args.column, args.format, args.title), args.out)
 
@@ -305,9 +309,8 @@ def _cmd_verify(args, cap: int) -> None:
         (djsim._worst_deviation(n, first, bits) for first, bits in blocks), key=lambda w: w[0]
     )
     ok = deviation < ROUTE_TOLERANCE
-    # flushed here, inside main's closed-pipe guard and ahead of any error line
-    print(f"verified {count} table(s) at n={n}: "
-          f"max route deviation {deviation:.3e} ({'OK' if ok else 'FAIL'})", flush=True)
+    _write([f"verified {count} table(s) at n={n}: "
+            f"max route deviation {deviation:.3e} ({'OK' if ok else 'FAIL'})\n"], None)
     if not ok:
         raise djsim.RouteFault(
             "amplitude routes disagree beyond tolerance: "
@@ -343,7 +346,7 @@ def _cmd_paper(args, cap: int) -> None:
         svg_path = outdir / f"{stem}.svg"
         _write(spectra._csv_blocks(report), csv_path)
         _write(_bars(report, "probability", "svg"), svg_path)
-        print(f"wrote {csv_path} and {svg_path}")
+        _write([f"wrote {csv_path} and {svg_path}\n"], None)
 
 
 _COMMANDS = {
@@ -367,8 +370,6 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         _COMMANDS[args.command](args, _arity_cap())
-        if sys.stdout is not None:
-            sys.stdout.flush()
         return 0
     except BrokenPipeError:  # an OSError, so it is caught first
         # the reader closed stdout early: print nothing, not even at exit, and

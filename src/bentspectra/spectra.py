@@ -17,11 +17,12 @@ of two-digit decimals.  Each column is gathered once per block of 2^12 rows
 and the block is joined once, so no string is built per row.  The
 string-returning exporters join their blocks; the CLI writes the blocks as
 they come, so a command's memory is its columns and a few blocks, not its
-text.  ``_read_source`` reads text, bytes or a binary file, which it first
-copies to a temporary file when it cannot read it from byte 0 (a pipe, say).
-It meets a caller's caps with a CSV's row count, read off the last row, reads
-W in pieces of whole rows, and accepts the input when the report rebuilt from
-W exports to its bytes; any other input is decoded, if need be, and parsed
+text.  ``_read_source`` reads a binary file, the one kind of source, which
+it first copies to a temporary file when it cannot read it from byte 0 (a
+pipe, say).  It meets a caller's caps with a CSV's row count, read off the
+last row, reads W in pieces of whole rows, and accepts the input when the
+report rebuilt from W exports to its bytes; any other input is decoded once,
+as strict UTF-8 with universal newlines (``boolfn._read_text``), and parsed
 field by field.  Bars are keyed by W, so their heights come from W.  All
 exporters are deterministic; float columns are printed with up to 17
 significant digits, enough to round-trip float64 losslessly.
@@ -39,7 +40,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfn import TruthTable, _check_arity, _Fresh, _Frozen, _index, _load_json, _short_repr
+from .boolfn import (TruthTable, _check_arity, _Fresh, _Frozen, _index, _load_json, _read_text,
+                     _short_repr)
 from .walsh import WalshSpectrum, classify, fwht
 
 ASCII_MAX_BARS = 1 << 8
@@ -330,8 +332,8 @@ def _walsh_fields(source, rows: int) -> np.ndarray | None:
 def _canonical_csv(source, check=None) -> SpectrumReport | None:
     """The report whose ``export_csv`` is exactly ``source``; None for any other input.
 
-    ``source`` is text, encoded first, its bytes or a seekable binary file,
-    read from its start, so the reader holds W and a few pieces, not the input:
+    ``source`` is a seekable binary file, read from its start, so the reader
+    holds W and a few pieces, not the input:
 
     1. the header and the last ``_TAIL_BYTES`` are read: the last row's p,
        one final ``\\n`` aside, gives the row count p + 1.  When that is 2^k,
@@ -347,12 +349,7 @@ def _canonical_csv(source, check=None) -> SpectrumReport | None:
     at most about 1.1 GB, so an input of 2^31 bytes or more is refused unread.
     """
     head = (_CSV_HEADER + "\n").encode()
-    if isinstance(source, str):
-        source = source.encode(errors="surrogatepass")
-    if isinstance(source, bytes):
-        size, source = len(source), io.BytesIO(source)
-    else:
-        size = source.seek(0, io.SEEK_END)
+    size = source.seek(0, io.SEEK_END)
     source.seek(0)
     if size >> 31 or source.read(len(head)) != head:
         return None
@@ -386,32 +383,31 @@ def _canonical_csv(source, check=None) -> SpectrumReport | None:
 def read_report(text: str | bytes) -> SpectrumReport:
     """Parse a report previously exported as CSV or JSON, given as text or as its UTF-8 bytes.
 
-    The input's bytes are first read as a CSV (``_canonical_csv``): the row
-    count comes from the last row, the walsh column is parsed in pieces, and
+    Text is encoded as UTF-8, and the bytes are read as a file by
+    ``_read_source``: first as a CSV (``_canonical_csv``), whose row count
+    comes from the last row and whose walsh column is parsed in pieces, and
     the report rebuilt from W alone is accepted when its export is the bytes
-    themselves.  Any other input is decoded, if bytes, and stripped.  A CSV
-    that then is an export but for its final newline (one that lost it or
-    gained surrounding whitespace) is read the same way; any other (other line
-    ends, blank lines or number spellings, say) is parsed field by field, to
-    the same report or the same error.  So bytes read exactly as their decoded
-    text does.  In JSON, n and any seed must be integers and any generator a
-    string.  Malformed input, deep JSON nesting and bytes that are not UTF-8
-    included, or self-contradicting input raises ``ValueError``.
+    themselves.  Any other input is decoded as strict UTF-8 with universal
+    newlines and stripped.  A CSV that then is an export (one with other line
+    ends, or that lost its final newline or gained surrounding whitespace) is
+    read the same way; any other (blank lines or other number spellings, say)
+    is parsed field by field, to the same report or the same error.  In JSON,
+    n and any seed must be integers and any generator a string.  Malformed
+    input, deep JSON nesting, bytes that are not UTF-8 and text that is not
+    Unicode (a lone surrogate) included, or self-contradicting input raises
+    ``ValueError``.
     """
-    return _read_source(text)
+    return _read_source(io.BytesIO(text.encode() if isinstance(text, str) else text))
 
 
 def _read_source(source, check=None) -> SpectrumReport:
-    """``read_report`` of text, bytes or a binary file; ``check(rows)`` may refuse a CSV unparsed.
+    """``read_report`` of a binary file; ``check(rows)`` may refuse a CSV unparsed.
 
     A seekable file at byte 0 is read in pieces, then, if it is not an export
-    as it stands, decoded with universal newlines into a text that
-    ``_read_stripped`` can free.  Any other file (a pipe, a FIFO, a TTY, a
-    stdin at an offset) is first copied in pieces to a temporary file.
+    as it stands, decoded once by ``_read_text`` and stripped.  Any other file
+    (a pipe, a FIFO, a TTY, a stdin at an offset) is first copied in pieces to
+    a temporary file.
     """
-    if isinstance(source, (str, bytes)):
-        report = _canonical_csv(source, check)
-        return report if report is not None else _read_stripped(source, check)
     if not (source.seekable() and source.tell() == 0):
         with tempfile.TemporaryFile() as copy:
             shutil.copyfileobj(source, copy)
@@ -420,23 +416,14 @@ def _read_source(source, check=None) -> SpectrumReport:
     if (report := _canonical_csv(source, check)) is not None:
         return report
     source.seek(0)
-    reader = io.TextIOWrapper(source)
-    try:
-        return _read_stripped(reader.read(), check)
-    finally:
-        reader.detach()  # the caller's file stays open
-
-
-def _read_stripped(text: str | bytes, check=None) -> SpectrumReport:
-    """``read_report`` of an input that is not an export as given: decoded, if bytes, and stripped."""
-    text = (text.decode() if isinstance(text, bytes) else text).strip()
+    text = _read_text(source).strip()  # no name holds the text before its strip
     if not text:
         raise ValueError("empty report")
     if text.startswith("{"):
         return _read_json(_load_json(text, "report"))
     if check is not None:
         check(text.count(",") // 3 - 1)  # exact for a valid CSV report
-    report = _canonical_csv(text + "\n")
+    report = _canonical_csv(io.BytesIO((text + "\n").encode()))
     return report if report is not None else _read_csv(text.splitlines())
 
 

@@ -44,7 +44,8 @@ REFERENCE_DIR = REPO_ROOT / "reference_outputs"
 def run(monkeypatch, capsys):
     def invoke(argv, stdin=None):
         if stdin is not None:
-            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+            # a text file over bytes, with the binary buffer a real stdin has
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin.encode())))
         code = main(argv)
         out, err = capsys.readouterr()
         return code, out, err
@@ -356,7 +357,7 @@ def test_plot_refuses_an_over_cap_csv_before_reading_it(run, monkeypatch, tmp_pa
 def _plot_of_text(run, path, args):
     """``plot`` of the file as ``Path.read_text`` reads it: its text by ``--tt``, or the decode error."""
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except ValueError as exc:
         return 2, "", f"error: {exc}\n"
     return run(["plot", "--tt", text, *args])
@@ -1106,8 +1107,11 @@ def test_closed_output_pipe_exits_141_quietly(tmp_path, command, lines):
     ("stdin", ["dj", "--format", "json"]),
     ("stdout", ["gen", "--kind", "constant", "--n", "2"]),
     ("stdout", ["plot", "--tt", "p,walsh,amplitude,probability\n0,0,0,0\n1,2,1,1\n"]),
+    ("stdout", ["verify", "--random", "1", "--n", "2"]),
+    ("stdout", ["paper", "--out", "scenarios"]),
 ])
-def test_a_closed_stdin_or_stdout_is_one_error_line(run, monkeypatch, stream, argv):
+def test_a_closed_stdin_or_stdout_is_one_error_line(run, monkeypatch, tmp_path, stream, argv):
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, stream, None)
     assert run(argv) == (2, "", f"error: {stream} is closed\n")
 
@@ -1179,6 +1183,28 @@ def test_svg_plot_is_ascii_under_the_c_locale(run, tmp_path, title):
     # the C locale decodes argv as ASCII, each other byte to a lone surrogate
     argv[4] = os.fsencode(title).decode("ascii", "surrogateescape")
     assert plot.stdout.decode("ascii") == run(argv)[1]
+
+
+def test_every_source_reads_as_utf8_under_the_c_locale(run, tmp_path):
+    def bentspectra(*argv, stdin=b""):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bentspectra", *argv], input=stdin, capture_output=True,
+            env={**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    report = tmp_path / "r.json"
+    text = spectra.export_json(spectra.make_report(TruthTable(2, [0, 1, 1, 0]), "\u00e9"))
+    report.write_bytes(text.replace("\\u00e9", "\u00e9").encode())  # a raw UTF-8 generator
+    argv = ["plot", "--format", "svg", "--in", str(report)]
+    code, out, err = bentspectra(*argv)
+    assert (code, err) == (0, b"") and out.decode("ascii") == run(argv)[1]
+    table = tmp_path / "f.tt"
+    table.write_bytes(b"0001\xff")
+    outcomes = {bentspectra("walsh", "--in", str(table)), bentspectra("walsh", stdin=b"0001\xff"),
+                bentspectra(b"walsh", b"--tt", b"0001\xff")}
+    assert outcomes == {(2, b"", b"error: 'utf-8' codec can't decode byte 0xff in position 4: "
+                                 b"invalid start byte\n")}
 
 
 # ---------------------------------------------------------------------------
@@ -1278,7 +1304,8 @@ def test_fuzzed_argv_exits_cleanly(case, cap):
     argv, stdin = case
     env = {} if cap is None else {"BENTSPECTRA_MAX_N": cap}
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, env), mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
+    stdin = io.TextIOWrapper(io.BytesIO(stdin.encode()))  # with a binary buffer, as a real one
+    with mock.patch.dict(os.environ, env), mock.patch.object(sys, "stdin", stdin), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         if cap is None:
             os.environ.pop("BENTSPECTRA_MAX_N", None)

@@ -858,19 +858,19 @@ def test_comma_scan_slices_leave_the_read_unchanged(scan, monkeypatch):
         data = export_csv(report).encode()
         assert np.array_equal(spectra._comma_positions(np.frombuffer(data, dtype=np.uint8)),
                               np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord(",")))
-        assert spectra._canonical_csv(data) == report
+        assert spectra._canonical_csv(io.BytesIO(data)) == report
 
 
 def test_canonical_csv_refuses_a_buffer_past_int32_positions(monkeypatch):
-    class Huge(bytes):  # an export that claims 2^31 bytes
-        def __len__(self):
-            return 1 << 31
+    class Huge(io.BytesIO):  # an export that claims 2^31 bytes
+        def seek(self, offset, whence=io.SEEK_SET):
+            return 1 << 31 if whence == io.SEEK_END else super().seek(offset, whence)
 
     def scan(buf):
         raise AssertionError("a buffer past int32 positions was scanned")
 
     data = export_csv(make_report(make_constant(3, 1))).encode()
-    assert spectra._canonical_csv(data) is not None
+    assert spectra._canonical_csv(io.BytesIO(data)) is not None
     monkeypatch.setattr(spectra, "_comma_positions", scan)
     assert spectra._canonical_csv(Huge(data)) is None
 
@@ -1027,11 +1027,12 @@ def test_canonical_csv_compares_the_export_block_by_block(monkeypatch):
     # outside its walsh field, and the export without its final newline
     for row in (spectra._BLOCK_ROWS - 1, spectra._BLOCK_ROWS, 100_000, len(lines) - 2):
         edited = _edited(lines, row, 3, "9") + "\n"
-        assert spectra._canonical_csv(edited) is None
-        assert spectra._canonical_csv(edited.encode()) is None
-    assert spectra._canonical_csv(text[:-1]) is None
-    assert spectra._canonical_csv(text.encode()[:-1]) is None
-    assert spectra._canonical_csv(text) == report == spectra._canonical_csv(text.encode())
+        assert spectra._canonical_csv(io.BytesIO(edited.encode())) is None
+        assert spectra._canonical_csv(io.BufferedReader(io.BytesIO(edited.encode()))) is None
+    assert spectra._canonical_csv(io.BytesIO(text.encode()[:-1])) is None
+    assert spectra._canonical_csv(io.BufferedReader(io.BytesIO(text.encode()[:-1]))) is None
+    assert spectra._canonical_csv(io.BytesIO(text.encode())) == report == \
+        spectra._canonical_csv(io.BufferedReader(io.BytesIO(text.encode())))
 
 
 def test_canonical_csv_refuses_an_export_without_its_final_newline_before_parsing_w(tmp_path,
@@ -1043,9 +1044,9 @@ def test_canonical_csv_refuses_an_export_without_its_final_newline_before_parsin
     path = tmp_path / "r.csv"
     path.write_text(text[:-1])
     monkeypatch.setattr(spectra, "_walsh_fields", walsh_fields)
-    assert spectra._canonical_csv(text[:-1]) is None
-    assert spectra._canonical_csv(text.encode()[:-1]) is None
+    assert spectra._canonical_csv(io.BytesIO(text.encode()[:-1])) is None
+    assert spectra._canonical_csv(io.BufferedReader(io.BytesIO(text.encode()[:-1]))) is None
     with path.open("rb") as fh:
         assert spectra._canonical_csv(fh) is None
     with pytest.raises(AssertionError, match="walsh column"):  # the export itself is parsed
-        spectra._canonical_csv(text)
+        spectra._canonical_csv(io.BytesIO(text.encode()))
